@@ -139,7 +139,8 @@ class ColumnSource:
     `fetch` maps a parametric multi-index to the full spatial fiber.  Each
     distinct fiber is fetched exactly once; `n_fetched` counts them.  Batch
     requests may fan out to a thread pool; results are keyed by index, so
-    completion order does not matter.
+    completion order does not matter.  A `budget` is charged n_spatial per
+    fetched fiber, and one per entry of the oracles reduce_oracle derives.
     """
 
     def __init__(self, param_shape, n_spatial, fetch, max_workers: int = 1,
@@ -150,7 +151,7 @@ class ColumnSource:
         self._cache = {}
         self._count = 0
         self._max_workers = max(1, int(max_workers))
-        self._budget = budget
+        self.budget = budget
         self._lock = threading.Lock()
 
     @classmethod
@@ -165,9 +166,6 @@ class ColumnSource:
     @property
     def n_fetched(self) -> int:
         return self._count
-
-    def attach_budget(self, budget: EvalBudget | None) -> None:
-        self._budget = budget
 
     def _store(self, j, col):
         col = np.asarray(col, dtype=float)
@@ -189,8 +187,8 @@ class ColumnSource:
         for i, n in zip(j, self.param_shape):
             if not 0 <= i < n:
                 raise ValueError(f"parametric index {j} out of range")
-        if self._budget is not None:
-            self._budget.charge(self.n_spatial)
+        if self.budget is not None:
+            self.budget.charge(self.n_spatial)
         return self._store(j, self._fetch(j))
 
     def columns(self, js) -> dict:
@@ -341,9 +339,11 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
     return V, diag
 
 
-def reduce_oracle(source: ColumnSource, V: np.ndarray,
-                  budget: EvalBudget | None = None) -> EntryOracle:
-    """Entry oracle of the V-projected tensor over (param modes, rank(V))."""
+def reduce_oracle(source: ColumnSource, V: np.ndarray) -> EntryOracle:
+    """Entry oracle of the V-projected tensor over (param modes, rank(V)).
+
+    Its entries are charged to the source's budget.
+    """
     V = np.asarray(V, dtype=float)
     if V.shape[0] != source.n_spatial:
         raise ValueError("basis row count must match the spatial size")
@@ -358,7 +358,7 @@ def reduce_oracle(source: ColumnSource, V: np.ndarray,
         cols = source.columns([idx[:-1] for idx in indices])
         return [float(V[:, idx[-1]] @ cols[idx[:-1]]) for idx in indices]
 
-    return EntryOracle(shape, fn, batch_fn=batch, budget=budget)
+    return EntryOracle(shape, fn, batch_fn=batch, budget=source.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +875,7 @@ class ApproxResult:
 def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float,
                        *, rng=None, s_init: int = 3, s_per_loop: int = 3,
                        rank_cap: int = DEFAULT_RANK_CAP, probe_crosses: int = 3,
-                       max_sweeps: int = 4, budget: EvalBudget | None = None) -> ApproxResult:
+                       max_sweeps: int = 4) -> ApproxResult:
     """Run the three-step pipeline against a fiber-structured oracle.
 
     Step 1 uses an absolute tolerance derived from eps_rel and the running
@@ -886,8 +886,6 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     if eps_rel <= 0:
         raise ValueError("relative accuracy must be positive")
     rng = np.random.default_rng() if rng is None else rng
-    if budget is not None:
-        source.attach_budget(budget)
 
     t0 = time.perf_counter()
     train = build_training_set(source.param_shape, s_init, rng)
@@ -896,7 +894,7 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     t1 = time.perf_counter()
 
     fibers_after_step1 = source.n_fetched
-    reduced = reduce_oracle(source, V, budget=budget)
+    reduced = reduce_oracle(source, V)
     Yt, cdiag = hier_cross(reduced, tree, eps_rel, rng=rng, rank_cap=rank_cap,
                            probe_crosses=probe_crosses, max_sweeps=max_sweeps)
     t2 = time.perf_counter()

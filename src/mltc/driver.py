@@ -22,10 +22,10 @@ from .colloc import CollocationGrid
 from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
 from .errors import BudgetError
-from .fem import (build_grid, delta_nodal, delta_vector, functional_psi,
-                  h1_frame, prolongation_matrix, solve_at)
+from .fem import (build_grid, delta_vector, functional_psi, h1_frame,
+                  prolongation_matrix, solve_at)
 from .fields import CoefficientModel
-from .htensor import HTensor, build_tree, storage_and_ranks
+from .htensor import HTensor, build_tree, ht_contract, storage_and_ranks
 
 
 def degree_schedule(L: int) -> list[int]:
@@ -100,40 +100,6 @@ class LevelDiagnostics:
     converged: bool = False
 
 
-def _contract_batch(X: HTensor, weight_mats: dict, spatial_mode: int) -> np.ndarray:
-    """Contract all parametric modes with per-sample weight rows.
-
-    weight_mats maps mode -> (M, size) array; returns (M, n_spatial).
-    """
-    def reduce_node(node_index):
-        node = X.tree.nodes[node_index]
-        if node.is_leaf:
-            m = node.modes[0]
-            U = X.leaf_frames[node_index]
-            if m == spatial_mode:
-                return U, "spatial"
-            return weight_mats[m] @ U, "batch"
-        a, ka = reduce_node(node.children[0])
-        b, kb = reduce_node(node.children[1])
-        B = X.transfers[node_index]
-        if ka == "batch" and kb == "batch":
-            return np.einsum("sab,ma,mb->ms", B, a, b), "batch"
-        if ka == "spatial" and kb == "batch":
-            return np.einsum("sab,na,mb->mns", B, a, b, optimize=True), "mixed"
-        if ka == "batch" and kb == "spatial":
-            return np.einsum("sab,ma,nb->mns", B, a, b, optimize=True), "mixed"
-        if ka == "mixed" and kb == "batch":
-            return np.einsum("sab,mna,mb->mns", B, a, b, optimize=True), "mixed"
-        if ka == "batch" and kb == "mixed":
-            return np.einsum("sab,ma,mnb->mns", B, a, b, optimize=True), "mixed"
-        raise ValueError("tensor has more than one uncontracted mode")
-
-    out, kind = reduce_node(X.tree.root)
-    if kind != "mixed":
-        raise ValueError("expected exactly one free spatial mode")
-    return out[:, :, 0]
-
-
 class MLSurrogate:
     """Sum over levels of interpolated, compressed level differences."""
 
@@ -148,8 +114,15 @@ class MLSurrogate:
     def max_level(self) -> int:
         return self.plan.max_level
 
-    def _weights(self, Y: np.ndarray, grid: CollocationGrid) -> dict:
-        return {m: grid.lagrange_weights_many(Y[:, m]) for m in range(self.n_params)}
+    def _level_h1(self, rec: LevelRecord, weights: dict) -> np.ndarray:
+        """Contract a level tensor's parametric modes with per-sample weights.
+
+        weights maps each parametric mode to an (M, p+1) array; returns the
+        (M, n_level) H1 coordinates.
+        """
+        X = rec.tensor
+        rows = {m: W @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m, W in weights.items()}
+        return ht_contract(X, rows, self.n_params)
 
     def components_h1(self, Y: np.ndarray) -> list[np.ndarray]:
         """Per level, the H1-coordinate vectors of the level interpolant.
@@ -159,23 +132,24 @@ class MLSurrogate:
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.n_params:
             raise ValueError(f"samples must have {self.n_params} columns")
-        out = []
-        for rec in self.records:
-            W = self._weights(Y, rec.grid)
-            out.append(_contract_batch(rec.tensor, W, self.n_params))
-        return out
+        return [self._level_h1(rec, {m: rec.grid.lagrange_weights_many(Y[:, m])
+                                     for m in range(self.n_params)})
+                for rec in self.records]
 
     def _accumulate_nodal(self, comps: list[np.ndarray]) -> np.ndarray:
         """Map per-level H1 components to nodal vectors at the top level."""
         L = self.max_level
-        m_samples = comps[0].shape[0]
-        total = np.zeros((build_grid(L).n, m_samples))
+        total = np.zeros((build_grid(L).n, comps[0].shape[0]))
         for rec, Z in zip(self.records, comps):
-            C = h1_frame(rec.level).from_h1(Z.T)
-            for lev in range(rec.level + 1, L + 1):
-                C = prolongation_matrix(lev) @ C
-            total += C
+            total += prolongate_to(h1_frame(rec.level).from_h1(Z.T), rec.level, L)
         return total.T
+
+    def _psi(self, comps: list[np.ndarray]) -> np.ndarray:
+        """psi(u) per sample from per-level H1 components."""
+        out = np.zeros(comps[0].shape[0])
+        for rec, Z in zip(self.records, comps):
+            out += Z @ h1_frame(rec.level).psi_vec
+        return out
 
     def evaluate_batch(self, Y: np.ndarray, chunk: int = 2048) -> np.ndarray:
         """Nodal surrogate solutions at the top level, shape (M, n_L)."""
@@ -194,35 +168,25 @@ class MLSurrogate:
 
     def psi_batch(self, Y: np.ndarray) -> np.ndarray:
         """psi(u) per sample without leaving H1 coordinates."""
-        comps = self.components_h1(Y)
-        out = np.zeros(comps[0].shape[0])
-        for rec, Z in zip(self.records, comps):
-            out += Z @ h1_frame(rec.level).psi_vec
-        return out
+        return self._psi(self.components_h1(Y))
 
     def expectation_components(self) -> list[np.ndarray]:
-        out = []
-        for rec in self.records:
-            w = rec.grid.quadrature_weights
-            W = {m: w[None, :] for m in range(self.n_params)}
-            out.append(_contract_batch(rec.tensor, W, self.n_params))
-        return out
+        return [self._level_h1(rec, {m: rec.grid.quadrature_weights[None, :]
+                                     for m in range(self.n_params)})
+                for rec in self.records]
 
     def expectation(self) -> np.ndarray:
         """Exact uniform-density expectation of the surrogate (nodal, level L)."""
         return self._accumulate_nodal(self.expectation_components())[0]
 
     def expectation_psi(self) -> float:
-        total = 0.0
-        for rec, Z in zip(self.records, self.expectation_components()):
-            total += float(Z[0] @ h1_frame(rec.level).psi_vec)
-        return total
+        return float(self._psi(self.expectation_components())[0])
 
 
 def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25,
            tree_shape: str = "balanced", seed: int = 0,
            rank_cap: int = DEFAULT_RANK_CAP, eval_budget: int = DEFAULT_EVAL_BUDGET,
-           threads: int = 1, keep_results: list | None = None):
+           threads: int = 1):
     """Build the multilevel surrogate level by level.
 
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
@@ -259,7 +223,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         rng = np.random.default_rng(seeds[level])
         try:
             result: ApproxResult = approximate_tensor(
-                source, tree, eps_l, rng=rng, rank_cap=rank_cap, budget=budget)
+                source, tree, eps_l, rng=rng, rank_cap=rank_cap)
         except BudgetError as err:
             diag.time_s = timer() - t0
             diag.fibers = source.n_fetched
@@ -278,8 +242,6 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag.r_max, diag.r_eff, diag.storage = rep.r_max, rep.r_eff, rep.storage_scalars
         records.append(LevelRecord(level, grid, result.tensor))
         diags.append(diag)
-        if keep_results is not None:
-            keep_results.append(result)
     return MLSurrogate(model, n_params, plan, records), diags
 
 
@@ -326,7 +288,7 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     frame_top = h1_frame(L)
     comps = surrogate.components_h1(Y)
     surr_nodal = surrogate._accumulate_nodal(comps)
-    psi_surr = surrogate.psi_batch(Y)
+    psi_surr = surrogate._psi(comps)
 
     num_ml = 0.0
     den = 0.0

@@ -6,15 +6,21 @@ every internal node holds a small 3-way transfer tensor that expresses its
 (implicit) frame in terms of its children's frames.  Storage is
 sum(n_i * r_i) over leaves plus sum(r_t * r_t1 * r_t2) over internal nodes.
 
-Entries, full reconstruction, Frobenius norms, mode contractions and a
-truncated-SVD constructor from dense input are provided.  Modes are 0-based
+Entries and mode contractions share one batched contraction, ht_contract:
+every contracted mode brings one already-reduced leaf-frame row per sample,
+a single upward pass reduces the subtrees to (M, r_t) rows, and at most one
+free mode is recovered by walking the root-to-leaf path down to (M, r_free)
+coefficients and multiplying once by that leaf's frame.  ht_entries gathers
+leaf rows, contract_modes multiplies weight vectors into them, and the
+surrogate passes per-sample interpolation weights.  Full reconstruction
+(ht_full), Frobenius norms (ht_norm, a Gram recursion) and a truncated-SVD
+constructor from dense input complete the module.  Modes are 0-based
 throughout; row order of any frame is lexicographic in the node's sorted mode
 list.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -197,29 +203,50 @@ class HTensor:
         return f"HTensor(sizes={self.mode_sizes}, r_max={rmax})"
 
 
-def ht_entry(X: HTensor, idx) -> float:
-    """Entry of the represented tensor at a multi-index."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != X.order:
-        raise ValueError("index length must equal the tensor order")
-    for i, (j, n) in enumerate(zip(idx, X.mode_sizes)):
-        if not 0 <= j < n:
-            raise ValueError(f"index {j} out of range for mode {i} of size {n}")
+def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
+    """Contract every mode but `free_mode` with one leaf-frame row per sample.
 
-    def value(node_index):
-        node = X.tree.nodes[node_index]
+    rows maps each contracted mode to an (M, r_leaf) array whose row m is
+    sample m's weight vector already multiplied into that mode's leaf frame.
+    One upward pass reduces every subtree off the root-to-free-leaf path to
+    (M, r_t) rows.  Without a free mode the result is the (M,) vector of root
+    values.  With one, the path is walked down to (M, r_free) coefficients,
+    and one product with the free leaf frame gives the (M, n_free) result.
+    """
+    tree = X.tree
+    expected = set(range(X.order)) - {free_mode}
+    if set(rows) != expected:
+        raise ValueError(f"rows must cover exactly the modes {sorted(expected)}")
+
+    def up(node_index):
+        node = tree.nodes[node_index]
         if node.is_leaf:
-            return X.leaf_frames[node_index][idx[node.modes[0]], :]
-        v1 = value(node.children[0])
-        v2 = value(node.children[1])
+            return rows[node.modes[0]]
+        V1 = up(node.children[0])
+        V2 = up(node.children[1])
         B = X.transfers[node_index]
-        return np.einsum("sab,a,b->s", B, v1, v2)
+        return np.einsum("sab,ma,mb->ms", B, V1, V2)
 
-    return float(value(X.tree.root)[0])
+    if free_mode is None:
+        return up(tree.root)[:, 0]
+    path = [tree.leaf_of_mode[free_mode]]
+    while path[-1] != tree.root:
+        path.append(tree.nodes[path[-1]].parent)
+    path.reverse()
+    M = next(iter(rows.values())).shape[0] if rows else 1
+    C = np.ones((M, 1))
+    for parent, child in zip(path, path[1:]):
+        left, right = tree.nodes[parent].children
+        B = X.transfers[parent]
+        if child == left:
+            C = np.einsum("ms,sab,mb->ma", C, B, up(right))
+        else:
+            C = np.einsum("ms,sab,ma->mb", C, B, up(left))
+    return C @ X.leaf_frames[path[-1]].T
 
 
 def ht_entries(X: HTensor, indices) -> np.ndarray:
-    """Vectorized ht_entry over an (m, d) integer array of multi-indices."""
+    """Entries at an (m, d) integer array of multi-indices (or one index)."""
     indices = np.asarray(indices, dtype=np.intp)
     if indices.ndim == 1:
         indices = indices[None, :]
@@ -229,17 +256,13 @@ def ht_entries(X: HTensor, indices) -> np.ndarray:
         col = indices[:, i]
         if col.min(initial=0) < 0 or col.max(initial=0) >= n:
             raise ValueError(f"index out of range for mode {i}")
+    rows = {m: X.leaf_frames[leaf][indices[:, m]] for m, leaf in X.tree.leaf_of_mode.items()}
+    return ht_contract(X, rows)
 
-    def value(node_index):
-        node = X.tree.nodes[node_index]
-        if node.is_leaf:
-            return X.leaf_frames[node_index][indices[:, node.modes[0]], :]
-        V1 = value(node.children[0])
-        V2 = value(node.children[1])
-        B = X.transfers[node_index]
-        return np.einsum("sab,ma,mb->ms", B, V1, V2)
 
-    return value(X.tree.root)[:, 0]
+def ht_entry(X: HTensor, idx) -> float:
+    """Entry of the represented tensor at one multi-index."""
+    return float(ht_entries(X, idx)[0])
 
 
 def ht_full(X: HTensor, size_cap: int = FULL_SIZE_CAP) -> np.ndarray:
@@ -376,26 +399,11 @@ def contract_modes(X: HTensor, weights: dict):
             sizes[m] = 1
         return HTensor(X.tree, sizes, frames, dict(X.transfers))
 
-    # fully (or all-but-one) contracted: single upward pass
-    def reduce_node(node_index):
-        node = X.tree.nodes[node_index]
-        if node.is_leaf:
-            m = node.modes[0]
-            U = X.leaf_frames[node_index]
-            return weights[m] @ U if m in weights else U
-        a = reduce_node(node.children[0])
-        b = reduce_node(node.children[1])
-        B = X.transfers[node_index]
-        if a.ndim == 1 and b.ndim == 1:
-            return np.einsum("sab,a,b->s", B, a, b)
-        if a.ndim == 2:
-            return np.einsum("sab,na,b->ns", B, a, b)
-        return np.einsum("sab,a,nb->ns", B, a, b)
-
-    out = reduce_node(X.tree.root)
-    if out.ndim == 1:
-        return float(out[0])
-    return out[:, 0]
+    rows = {m: (w @ X.leaf_frames[X.tree.leaf_of_mode[m]])[None, :]
+            for m, w in weights.items()}
+    if not free:
+        return float(ht_contract(X, rows)[0])
+    return ht_contract(X, rows, free[0])[0]
 
 
 @dataclass(frozen=True)
@@ -473,9 +481,3 @@ def load_htensor(path) -> HTensor:
         leaf_frames = {n.index: data[f"U{n.index}"] for n in tree.leaves()}
         transfers = {n.index: data[f"B{n.index}"] for n in tree.internal_nodes()}
     return HTensor(tree, meta["mode_sizes"], leaf_frames, transfers)
-
-
-def save_htensor_bytes(X: HTensor) -> bytes:
-    buf = io.BytesIO()
-    save_htensor(X, buf)  # type: ignore[arg-type]
-    return buf.getvalue()

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import colloc, cross, driver, fem, fields, htensor
 
 
-def _random_htensor(tree, sizes, rmax, rng):
+def random_htensor(tree, sizes, rmax, rng):
+    """Random valid HTensor with ranks drawn in [1, rmax]."""
     ranks = {n.index: (1 if n.parent == -1 else int(rng.integers(1, rmax + 1)))
              for n in tree.nodes}
     frames = {n.index: rng.standard_normal((sizes[n.modes[0]], ranks[n.index]))
@@ -27,7 +26,7 @@ def suite_htensor():
         shape = "balanced" if trial % 2 == 0 else "linear"
         tree = htensor.build_tree(d, shape)
         sizes = tuple(int(rng.integers(2, 5)) for _ in range(d))
-        X = _random_htensor(tree, sizes, 3, rng)
+        X = random_htensor(tree, sizes, 3, rng)
         T = htensor.ht_full(X)
         scale = max(abs(T).max(), 1e-300)
         idx = tuple(int(rng.integers(n)) for n in sizes)
@@ -46,7 +45,7 @@ def suite_cross():
     rng = np.random.default_rng(202)
     tree = htensor.build_tree(6, "balanced")
     sizes = (4, 4, 4, 4, 4, 5)
-    X0 = _random_htensor(tree, sizes, 3, rng)
+    X0 = random_htensor(tree, sizes, 3, rng)
     T0 = htensor.ht_full(X0)
     oracle = cross.EntryOracle(sizes, lambda idx: T0[idx])
     source = cross.ColumnSource.from_entry_oracle(oracle)

@@ -1,19 +1,7 @@
 import numpy as np
 import pytest
 
-from mltc.htensor import HTensor
-
-
-def random_htensor(tree, sizes, rmax, rng):
-    """Random valid HTensor with ranks drawn in [1, rmax]."""
-    ranks = {n.index: (1 if n.parent == -1 else int(rng.integers(1, rmax + 1)))
-             for n in tree.nodes}
-    frames = {n.index: rng.standard_normal((sizes[n.modes[0]], ranks[n.index]))
-              for n in tree.leaves()}
-    transfers = {n.index: rng.standard_normal(
-        (ranks[n.index], ranks[n.children[0]], ranks[n.children[1]]))
-        for n in tree.internal_nodes()}
-    return HTensor(tree, sizes, frames, transfers)
+from mltc.verify import random_htensor  # noqa: F401  (imported by the test modules)
 
 
 @pytest.fixture

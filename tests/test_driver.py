@@ -229,6 +229,19 @@ class TestErrorMetrics:
         with pytest.raises(ValueError):
             error_metrics(surrogate, other, samples=2)
 
+    def test_components_computed_once(self, tight_n2_l2, monkeypatch):
+        surrogate, _ = tight_n2_l2
+        calls = []
+        original = MLSurrogate.components_h1
+
+        def counting(self, Y):
+            calls.append(len(Y))
+            return original(self, Y)
+
+        monkeypatch.setattr(MLSurrogate, "components_h1", counting)
+        error_metrics(surrogate, surrogate, samples=4, seed=3, per_level=True)
+        assert calls == [4]
+
     def test_tight_surrogate_has_tiny_error(self, tight_n2_l2):
         surrogate, _ = tight_n2_l2
         metrics = error_metrics(surrogate, None, samples=10, seed=4,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mltc.errors import SizeCapError
-from mltc.htensor import (HTensor, build_tree, contract_modes, ht_entries,
-                          ht_entry, ht_from_dense, ht_full, ht_norm,
+from mltc.htensor import (HTensor, build_tree, contract_modes, ht_contract,
+                          ht_entries, ht_entry, ht_from_dense, ht_full, ht_norm,
                           load_htensor, save_htensor, storage_and_ranks)
 
 from conftest import random_htensor
@@ -219,6 +221,104 @@ class TestContract:
         X = random_htensor(tree, (3, 4, 2), 2, rng)
         with pytest.raises(ValueError):
             contract_modes(X, {0: np.ones(4)})
+
+
+def dense_contract(T, weights, out):
+    """np.einsum of T with weights[m], whose last axis runs over mode m and
+    whose leading axis, if it has two, is the sample axis (labelled T.ndim)."""
+    ops = [T, list(range(T.ndim))]
+    for m, W in weights.items():
+        ops += [W, [T.ndim, m][-W.ndim:]]
+    return np.einsum(*ops, out)
+
+
+def assert_matches_dense(got, X, weights, out):
+    """got agrees with the dense contraction to within rounding.
+
+    The bound is the same contraction of |X| (every frame and transfer tensor
+    replaced by its absolute value) with |weights|, which bounds the sum of
+    absolute products that any evaluation order adds up.
+    """
+    abs_X = HTensor(X.tree, X.mode_sizes,
+                    {k: abs(U) for k, U in X.leaf_frames.items()},
+                    {k: abs(B) for k, B in X.transfers.items()})
+    want = dense_contract(ht_full(X), weights, out)
+    bound = dense_contract(ht_full(abs_X), {m: abs(W) for m, W in weights.items()}, out)
+    got = np.asarray(got).reshape(want.shape)
+    assert np.all(abs(got - want) <= 1e-12 * bound)
+
+
+@st.composite
+def random_tensors(draw):
+    d = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["balanced", "linear"]))
+    rmax = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 5))
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = random_htensor(build_tree(d, shape), sizes, rmax, rng)
+    return X, M, rng
+
+
+def low_order_case(d, shape):
+    rng = np.random.default_rng(d)
+    return random_htensor(build_tree(d, shape), (3,) * d, 2, rng), 2, rng
+
+
+class TestContractProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(random_tensors())
+    @example(low_order_case(1, "balanced"))
+    @example(low_order_case(2, "linear"))
+    def test_ht_contract_matches_dense(self, case):
+        X, M, rng = case
+        d = X.order
+        for free_mode in [None] + list(range(d)):
+            W = {m: rng.standard_normal((M, n)) for m, n in enumerate(X.mode_sizes)
+                 if m != free_mode}
+            rows = {m: W[m] @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in W}
+            got = ht_contract(X, rows, free_mode)
+            if not W:   # order 1 with its only mode free: one row, the tensor itself
+                assert got.shape == (1, X.mode_sizes[0])
+                assert_matches_dense(got, X, {}, [0])
+            else:
+                out = [d] + ([] if free_mode is None else [free_mode])
+                assert got.shape == (M,) + tuple(X.mode_sizes[m] for m in out[1:])
+                assert_matches_dense(got, X, W, out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_tensors())
+    def test_ht_entries_matches_dense(self, case):
+        X, M, rng = case
+        idx = np.column_stack([rng.integers(0, n, M) for n in X.mode_sizes])
+        one_hot = {m: np.eye(n)[idx[:, m]] for m, n in enumerate(X.mode_sizes)}
+        got = ht_entries(X, idx)
+        assert got.shape == (M,)
+        assert_matches_dense(got, X, one_hot, [X.order])
+        first = {m: W[:1] for m, W in one_hot.items()}
+        assert_matches_dense(ht_entry(X, idx[0]), X, first, [X.order])
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_tensors(), st.data())
+    def test_contract_modes_matches_dense(self, case, data):
+        X, _, rng = case
+        modes = data.draw(st.sets(st.integers(0, X.order - 1)))
+        w = {m: rng.standard_normal(X.mode_sizes[m]) for m in modes}
+        out = contract_modes(X, w)
+        free = [m for m in range(X.order) if m not in w]
+        if len(free) > 1:
+            assert isinstance(out, HTensor)
+            out = ht_full(out)
+        assert_matches_dense(out, X, w, free)
+
+    def test_rows_must_cover_contracted_modes(self, rng):
+        X = random_htensor(build_tree(3, "balanced"), (2, 3, 2), 2, rng)
+        rows = {m: np.ones((1, X.rank_of(X.tree.leaf_of_mode[m]))) for m in (0, 1)}
+        with pytest.raises(ValueError):
+            ht_contract(X, rows)
+        with pytest.raises(ValueError):
+            ht_contract(X, rows, free_mode=1)
+        assert ht_contract(X, rows, free_mode=2).shape == (1, 2)
 
 
 class TestStorage:
