@@ -8,6 +8,13 @@ p(l) = floor((L - l + 1) / 2) balances interpolation and FE error across
 levels.  The surrogate is the sum of the per-level interpolants and supports
 pointwise evaluation, exact expectation against the uniform density, and the
 output functional psi(u) = integral of u.
+
+Each level's spatial frame is mapped to nodal values once, when the
+surrogate is built.  A query contracts the parametric modes to per-level
+(M, r_l) coefficients and sums the nodal frames times those coefficients over
+the levels with one prolongation per level; psi and the expectation need only
+r_l-vectors.  Beside its (M, n_L) output a batch holds just the (M, sum r_l)
+coefficients, so no batch is split into chunks.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import BudgetError
 from .fem import (build_grid, delta_vector, functional_psi, h1_frame,
                   prolongation_matrix, solve_at)
 from .fields import CoefficientModel
-from .htensor import HTensor, build_tree, ht_contract, storage_and_ranks
+from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
 
 
 def degree_schedule(L: int) -> list[int]:
@@ -101,7 +108,14 @@ class LevelDiagnostics:
 
 
 class MLSurrogate:
-    """Sum over levels of interpolated, compressed level differences."""
+    """Sum over levels of interpolated, compressed level differences.
+
+    Building it maps each level's spatial leaf frame U_l (H1 coordinates) to
+    nodal values on the level's own grid, G_l = R_l^-1 U_l, and to the psi
+    row U_l^T psi_vec_l, and contracts the expectation coefficients.  A query
+    then contracts only the parametric modes, to per-level (M, r_l)
+    coefficients C_l.
+    """
 
     def __init__(self, model: CoefficientModel, n_params: int, plan: LevelPlan,
                  records: list[LevelRecord]):
@@ -109,78 +123,85 @@ class MLSurrogate:
         self.n_params = n_params
         self.plan = plan
         self.records = records
+        self._spatial = []          # per level: U_l, the (n_l, r_l) frame in H1 coordinates
+        self._nodal_frames = []     # per level: G_l, the same frame in nodal values
+        self._psi_rows = []         # per level: the (r_l,) vector U_l^T psi_vec_l
+        for rec in records:
+            X = rec.tensor
+            U = X.leaf_frames[X.tree.leaf_of_mode[n_params]]
+            frame = h1_frame(rec.level)
+            self._spatial.append(U)
+            self._nodal_frames.append(frame.from_h1(U))
+            self._psi_rows.append(U.T @ frame.psi_vec)
+        self._mean_coeffs = [
+            self._level_coefficients(rec, {m: rec.grid.quadrature_weights[None, :]
+                                           for m in range(n_params)})
+            for rec in records]
 
     @property
     def max_level(self) -> int:
         return self.plan.max_level
 
-    def _level_h1(self, rec: LevelRecord, weights: dict) -> np.ndarray:
+    def _level_coefficients(self, rec: LevelRecord, weights: dict) -> np.ndarray:
         """Contract a level tensor's parametric modes with per-sample weights.
 
         weights maps each parametric mode to an (M, p+1) array; returns the
-        (M, n_level) H1 coordinates.
+        (M, r_l) coefficients in the level's spatial frame.
         """
         X = rec.tensor
         rows = {m: W @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m, W in weights.items()}
-        return ht_contract(X, rows, self.n_params)
+        return ht_coefficients(X, rows, self.n_params)
+
+    def coefficients(self, Y: np.ndarray) -> list[np.ndarray]:
+        """Per level, the (M, r_l) spatial-frame coefficients at samples Y (M, N)."""
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        if Y.shape[1] != self.n_params:
+            raise ValueError(f"samples must have {self.n_params} columns")
+        return [self._level_coefficients(rec, {m: rec.grid.lagrange_weights_many(Y[:, m])
+                                               for m in range(self.n_params)})
+                for rec in self.records]
 
     def components_h1(self, Y: np.ndarray) -> list[np.ndarray]:
         """Per level, the H1-coordinate vectors of the level interpolant.
 
         Y has shape (M, N); each returned array has shape (M, n_level).
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.n_params:
-            raise ValueError(f"samples must have {self.n_params} columns")
-        return [self._level_h1(rec, {m: rec.grid.lagrange_weights_many(Y[:, m])
-                                     for m in range(self.n_params)})
-                for rec in self.records]
+        return [C @ U.T for C, U in zip(self.coefficients(Y), self._spatial)]
 
-    def _accumulate_nodal(self, comps: list[np.ndarray]) -> np.ndarray:
-        """Map per-level H1 components to nodal vectors at the top level."""
-        L = self.max_level
-        total = np.zeros((build_grid(L).n, comps[0].shape[0]))
-        for rec, Z in zip(self.records, comps):
-            total += prolongate_to(h1_frame(rec.level).from_h1(Z.T), rec.level, L)
+    def _nodal(self, coeffs: list[np.ndarray]) -> np.ndarray:
+        """Top-level nodal values, (M, n_L), from per-level coefficients.
+
+        Horner sum over levels: total <- P_l total + G_l C_l^T.
+        """
+        frames = self._nodal_frames
+        total = frames[0] @ coeffs[0].T
+        for rec, G, C in zip(self.records[1:], frames[1:], coeffs[1:]):
+            total = prolongation_matrix(rec.level) @ total
+            total += G @ C.T
         return total.T
 
-    def _psi(self, comps: list[np.ndarray]) -> np.ndarray:
-        """psi(u) per sample from per-level H1 components."""
-        out = np.zeros(comps[0].shape[0])
-        for rec, Z in zip(self.records, comps):
-            out += Z @ h1_frame(rec.level).psi_vec
-        return out
+    def _psi(self, coeffs: list[np.ndarray]) -> np.ndarray:
+        """psi(u) per sample from per-level coefficients."""
+        return sum(C @ q for C, q in zip(coeffs, self._psi_rows))
 
-    def evaluate_batch(self, Y: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    def evaluate_batch(self, Y: np.ndarray) -> np.ndarray:
         """Nodal surrogate solutions at the top level, shape (M, n_L)."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        n_top = build_grid(self.max_level).n
-        chunk = max(1, min(chunk, int(4e6 // max(n_top, 1)) or 1))
-        blocks = []
-        for start in range(0, Y.shape[0], chunk):
-            comps = self.components_h1(Y[start:start + chunk])
-            blocks.append(self._accumulate_nodal(comps))
-        return np.vstack(blocks)
+        return self._nodal(self.coefficients(Y))
 
     def evaluate(self, y) -> np.ndarray:
         """Nodal surrogate solution at one parameter point."""
         return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
 
     def psi_batch(self, Y: np.ndarray) -> np.ndarray:
-        """psi(u) per sample without leaving H1 coordinates."""
-        return self._psi(self.components_h1(Y))
-
-    def expectation_components(self) -> list[np.ndarray]:
-        return [self._level_h1(rec, {m: rec.grid.quadrature_weights[None, :]
-                                     for m in range(self.n_params)})
-                for rec in self.records]
+        """psi(u) per sample, straight from the coefficients."""
+        return self._psi(self.coefficients(Y))
 
     def expectation(self) -> np.ndarray:
         """Exact uniform-density expectation of the surrogate (nodal, level L)."""
-        return self._accumulate_nodal(self.expectation_components())[0]
+        return self._nodal(self._mean_coeffs)[0]
 
     def expectation_psi(self) -> float:
-        return float(self._psi(self.expectation_components())[0])
+        return float(self._psi(self._mean_coeffs)[0])
 
 
 def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25,
@@ -286,9 +307,9 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     Y = rng.uniform(-1.0, 1.0, size=(samples, N))
 
     frame_top = h1_frame(L)
-    comps = surrogate.components_h1(Y)
-    surr_nodal = surrogate._accumulate_nodal(comps)
-    psi_surr = surrogate._psi(comps)
+    coeffs = surrogate.coefficients(Y)
+    surr_nodal = surrogate._nodal(coeffs)
+    psi_surr = surrogate._psi(coeffs)
 
     num_ml = 0.0
     den = 0.0
@@ -305,7 +326,8 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
                 else:
                     d_nodal = ladder[lev] - prolongation_matrix(lev) @ ladder[lev - 1]
                 z_exact = h1_frame(lev).to_h1(d_nodal)
-                num_level[lev] += float(np.sum((comps[lev][i] - z_exact) ** 2))
+                z_surr = surrogate._spatial[lev] @ coeffs[lev][i]
+                num_level[lev] += float(np.sum((z_surr - z_exact) ** 2))
         else:
             u_direct = solve_at(Y[i], L, model)
         diff = frame_top.to_h1(surr_nodal[i] - u_direct)

@@ -6,17 +6,19 @@ every internal node holds a small 3-way transfer tensor that expresses its
 (implicit) frame in terms of its children's frames.  Storage is
 sum(n_i * r_i) over leaves plus sum(r_t * r_t1 * r_t2) over internal nodes.
 
-Entries and mode contractions share one batched contraction, ht_contract:
-every contracted mode brings one already-reduced leaf-frame row per sample,
-a single upward pass reduces the subtrees to (M, r_t) rows, and at most one
-free mode is recovered by walking the root-to-leaf path down to (M, r_free)
-coefficients and multiplying once by that leaf's frame.  ht_entries gathers
-leaf rows, contract_modes multiplies weight vectors into them, and the
-surrogate passes per-sample interpolation weights.  Full reconstruction
-(ht_full), Frobenius norms (ht_norm, a Gram recursion) and a truncated-SVD
-constructor from dense input complete the module.  Modes are 0-based
-throughout; row order of any frame is lexicographic in the node's sorted mode
-list.
+Entries and mode contractions share one batched contraction,
+ht_coefficients: every contracted mode brings one already-reduced leaf-frame
+row per sample, a single upward pass reduces the subtrees to (M, r_t) rows,
+and at most one free mode is recovered by walking the root-to-leaf path down
+to its (M, r_free) coefficients.  ht_contract multiplies those once by the
+free leaf's frame; ht_entries gathers leaf rows for it, and contract_modes
+multiplies weight vectors into them.  The surrogate passes per-sample
+interpolation weights to ht_coefficients and keeps the coefficients, since
+it maps its spatial frames to nodal values once per build.  Full
+reconstruction (ht_full), Frobenius norms (ht_norm, a Gram recursion) and a
+truncated-SVD constructor from dense input complete the module.  Modes are
+0-based throughout; row order of any frame is lexicographic in the node's
+sorted mode list.
 """
 
 from __future__ import annotations
@@ -203,15 +205,15 @@ class HTensor:
         return f"HTensor(sizes={self.mode_sizes}, r_max={rmax})"
 
 
-def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
-    """Contract every mode but `free_mode` with one leaf-frame row per sample.
+def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
+    """Per-sample coefficients in the free leaf's frame after contracting the rest.
 
     rows maps each contracted mode to an (M, r_leaf) array whose row m is
     sample m's weight vector already multiplied into that mode's leaf frame.
     One upward pass reduces every subtree off the root-to-free-leaf path to
-    (M, r_t) rows.  Without a free mode the result is the (M,) vector of root
-    values.  With one, the path is walked down to (M, r_free) coefficients,
-    and one product with the free leaf frame gives the (M, n_free) result.
+    (M, r_t) rows, and the path is walked down to the (M, r_free)
+    coefficients of the free leaf frame.  Without a free mode the result is
+    the (M, 1) root values (the root rank is 1).
     """
     tree = X.tree
     expected = set(range(X.order)) - {free_mode}
@@ -228,7 +230,7 @@ def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndar
         return np.einsum("sab,ma,mb->ms", B, V1, V2)
 
     if free_mode is None:
-        return up(tree.root)[:, 0]
+        return up(tree.root)
     path = [tree.leaf_of_mode[free_mode]]
     while path[-1] != tree.root:
         path.append(tree.nodes[path[-1]].parent)
@@ -242,7 +244,20 @@ def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndar
             C = np.einsum("ms,sab,mb->ma", C, B, up(right))
         else:
             C = np.einsum("ms,sab,ma->mb", C, B, up(left))
-    return C @ X.leaf_frames[path[-1]].T
+    return C
+
+
+def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
+    """Contract every mode but `free_mode` with one leaf-frame row per sample.
+
+    rows is as for ht_coefficients.  Without a free mode the result is the
+    (M,) vector of root values; with one, the (M, r_free) coefficients times
+    the free leaf frame give the (M, n_free) result.
+    """
+    C = ht_coefficients(X, rows, free_mode)
+    if free_mode is None:
+        return C[:, 0]
+    return C @ X.leaf_frames[X.tree.leaf_of_mode[free_mode]].T
 
 
 def ht_entries(X: HTensor, indices) -> np.ndarray:

@@ -1,16 +1,21 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mltc import driver
 from mltc.colloc import CollocationGrid
+from mltc.config import load_config
 from mltc.driver import (LevelPlan, MLSurrogate, accuracy_schedule,
                          anisotropic_degrees, degree_schedule, error_metrics,
                          prolongate_to, run_ml)
 from mltc.fem import (build_grid, delta_nodal, h1_frame, prolongation_matrix,
                       solve_at)
 from mltc.fields import make_model
+from mltc.htensor import ht_contract
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXP2 = make_model("affine", "exponential", 2)
 
 
@@ -18,6 +23,12 @@ EXP2 = make_model("affine", "exponential", 2)
 def tight_n2_l2():
     surrogate, diags = run_ml(EXP2, 2, 2, eps0=1e-8, seed=11)
     return surrogate, diags
+
+
+@pytest.fixture(scope="module")
+def linear_n3_l2():
+    model = make_model("affine", "exponential", 3)
+    return run_ml(model, 3, 2, seed=5, tree_shape="linear")
 
 
 class TestSchedules:
@@ -95,9 +106,8 @@ class TestRunML:
         y = np.array([0.21, -0.68])
         assert np.allclose(s1.evaluate(y), s4.evaluate(y), rtol=1e-13)
 
-    def test_linear_tree_end_to_end(self):
-        model = make_model("affine", "exponential", 3)
-        surrogate, _ = run_ml(model, 3, 2, seed=5, tree_shape="linear")
+    def test_linear_tree_end_to_end(self, linear_n3_l2):
+        surrogate, _ = linear_n3_l2
         metrics = error_metrics(surrogate, None, samples=20, seed=3,
                                 per_level=False)
         assert np.isfinite(metrics.eps_ml_u) and metrics.eps_ml_u < 0.2
@@ -232,13 +242,13 @@ class TestErrorMetrics:
     def test_components_computed_once(self, tight_n2_l2, monkeypatch):
         surrogate, _ = tight_n2_l2
         calls = []
-        original = MLSurrogate.components_h1
+        original = MLSurrogate.coefficients
 
         def counting(self, Y):
             calls.append(len(Y))
             return original(self, Y)
 
-        monkeypatch.setattr(MLSurrogate, "components_h1", counting)
+        monkeypatch.setattr(MLSurrogate, "coefficients", counting)
         error_metrics(surrogate, surrogate, samples=4, seed=3, per_level=True)
         assert calls == [4]
 
@@ -248,3 +258,99 @@ class TestErrorMetrics:
                                 per_level=False)
         # interpolation error only; N=2 exponential decay at degrees (1,1,0)
         assert metrics.eps_ml_u < 0.05
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def h1_route(surrogate, comps):
+    """Nodal values and psi from per-level H1 coordinates, one solve per level."""
+    L = surrogate.max_level
+    nodal = sum(prolongate_to(h1_frame(lev).from_h1(Z.T), lev, L)
+                for lev, Z in enumerate(comps)).T
+    psi = sum(Z @ h1_frame(lev).psi_vec for lev, Z in enumerate(comps))
+    return nodal, psi
+
+
+class TestNodalFrames:
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_matches_h1_coordinate_route(self, build, request, rng):
+        surrogate, _ = request.getfixturevalue(build)
+        N = surrogate.n_params
+        Y = rng.uniform(-1, 1, (9, N))
+        nodal, psi = h1_route(surrogate, surrogate.components_h1(Y))
+        assert_close(surrogate.evaluate_batch(Y), nodal)
+        assert_close(surrogate.evaluate(Y[4]), nodal[4])
+        assert_close(surrogate.psi_batch(Y), psi)
+        mean = []
+        for rec in surrogate.records:
+            X = rec.tensor
+            w = rec.grid.quadrature_weights[None, :]
+            mean.append(ht_contract(
+                X, {m: w @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in range(N)}, N))
+        e_nodal, e_psi = h1_route(surrogate, mean)
+        assert_close(surrogate.expectation(), e_nodal[0])
+        assert_close(surrogate.expectation_psi(), e_psi[0])
+
+    def test_queries_never_build_h1_coordinates(self, tight_n2_l2, monkeypatch, rng):
+        # psi_batch and evaluate_batch hold (M, r_l) coefficients, not (M, n_l)
+        surrogate, _ = tight_n2_l2
+
+        def forbidden(self, Y):
+            raise AssertionError("components_h1 called")
+
+        monkeypatch.setattr(MLSurrogate, "components_h1", forbidden)
+        Y = rng.uniform(-1, 1, (5, 2))
+        surrogate.evaluate_batch(Y)
+        surrogate.evaluate(Y[0])
+        surrogate.psi_batch(Y)
+        surrogate.expectation()
+        surrogate.expectation_psi()
+
+    def test_expectation_contracted_once_per_surrogate(self, tight_n2_l2,
+                                                       monkeypatch):
+        surrogate, _ = tight_n2_l2
+        calls = []
+        original = driver.ht_coefficients
+
+        def counting(X, rows, free_mode=None):
+            calls.append(next(iter(rows.values())).shape[0])
+            return original(X, rows, free_mode)
+
+        monkeypatch.setattr(driver, "ht_coefficients", counting)
+        copy = MLSurrogate(surrogate.model, surrogate.n_params, surrogate.plan,
+                           surrogate.records)
+        assert calls == [1, 1, 1]       # the expectation, once per level
+        calls.clear()
+        copy.expectation()
+        copy.expectation_psi()
+        assert calls == []
+        error_metrics(copy, copy, samples=4, seed=3, per_level=False)
+        assert calls == [4, 4, 4]       # the samples only
+
+
+# Per level: fibers, step1_evals, step2_evals, pde_solves, r_max of the bundled
+# small configs built as `mltc run` builds them.
+GOLDEN_COUNTS = {
+    "exp-decay-small": [(188, 83, 221, 188, 2), (230, 141, 668, 460, 6),
+                        (32, 32, 256, 64, 8), (32, 32, 214, 64, 7), (1, 1, 1, 2, 1)],
+    "log-uniform-small": [(227, 127, 464, 227, 6), (242, 210, 2537, 484, 13),
+                          (32, 32, 448, 64, 14), (32, 32, 313, 64, 10),
+                          (1, 1, 1, 2, 1)],
+    "lambda-zero": [(4, 4, 4, 4, 1), (4, 4, 4, 8, 1), (1, 1, 1, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+def test_golden_counts(name):
+    cfg = load_config(CONFIGS / f"{name}.ini")
+    model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
+    _, diags = run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0,
+                      tree_shape=cfg.tree, seed=cfg.seed, rank_cap=cfg.rank_cap,
+                      eval_budget=cfg.eval_budget, threads=cfg.threads)
+    got = [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.r_max)
+           for d in diags]
+    assert got == GOLDEN_COUNTS[name]

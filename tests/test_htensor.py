@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mltc.errors import SizeCapError
-from mltc.htensor import (HTensor, build_tree, contract_modes, ht_contract,
-                          ht_entries, ht_entry, ht_from_dense, ht_full, ht_norm,
-                          load_htensor, save_htensor, storage_and_ranks)
+from mltc.htensor import (HTensor, build_tree, contract_modes, ht_coefficients,
+                          ht_contract, ht_entries, ht_entry, ht_from_dense,
+                          ht_full, ht_norm, load_htensor, save_htensor,
+                          storage_and_ranks)
 
 from conftest import random_htensor
 
@@ -248,6 +249,17 @@ def assert_matches_dense(got, X, weights, out):
     assert np.all(abs(got - want) <= 1e-12 * bound)
 
 
+def with_identity_leaf(X, mode):
+    """X with the leaf frame of `mode` replaced by the identity over its rank."""
+    leaf = X.tree.leaf_of_mode[mode]
+    r = X.rank_of(leaf)
+    frames = dict(X.leaf_frames)
+    frames[leaf] = np.eye(r)
+    sizes = list(X.mode_sizes)
+    sizes[mode] = r
+    return HTensor(X.tree, sizes, frames, dict(X.transfers))
+
+
 @st.composite
 def random_tensors(draw):
     d = draw(st.integers(1, 6))
@@ -277,14 +289,21 @@ class TestContractProperties:
             W = {m: rng.standard_normal((M, n)) for m, n in enumerate(X.mode_sizes)
                  if m != free_mode}
             rows = {m: W[m] @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in W}
-            got = ht_contract(X, rows, free_mode)
-            if not W:   # order 1 with its only mode free: one row, the tensor itself
-                assert got.shape == (1, X.mode_sizes[0])
-                assert_matches_dense(got, X, {}, [0])
-            else:
-                out = [d] + ([] if free_mode is None else [free_mode])
-                assert got.shape == (M,) + tuple(X.mode_sizes[m] for m in out[1:])
-                assert_matches_dense(got, X, W, out)
+            cases = [(ht_contract(X, rows, free_mode), X)]
+            coef = ht_coefficients(X, rows, free_mode)
+            if free_mode is None:   # the (M, 1) root values
+                assert coef.shape == (M, 1)
+                cases.append((coef[:, 0], X))
+            else:   # the contraction with the free leaf frame replaced by the identity
+                cases.append((coef, with_identity_leaf(X, free_mode)))
+            for got, Xd in cases:
+                if not W:   # order 1 with its only mode free: one row, the tensor itself
+                    assert got.shape == (1, Xd.mode_sizes[0])
+                    assert_matches_dense(got, Xd, {}, [0])
+                else:
+                    out = [d] + ([] if free_mode is None else [free_mode])
+                    assert got.shape == (M,) + tuple(Xd.mode_sizes[m] for m in out[1:])
+                    assert_matches_dense(got, Xd, W, out)
 
     @settings(max_examples=80, deadline=None)
     @given(random_tensors())
@@ -319,6 +338,10 @@ class TestContractProperties:
         with pytest.raises(ValueError):
             ht_contract(X, rows, free_mode=1)
         assert ht_contract(X, rows, free_mode=2).shape == (1, 2)
+        with pytest.raises(ValueError):
+            ht_coefficients(X, rows)
+        r_free = X.rank_of(X.tree.leaf_of_mode[2])
+        assert ht_coefficients(X, rows, free_mode=2).shape == (1, r_free)
 
 
 class TestStorage:
