@@ -1,8 +1,10 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
-Exit codes: 0 success, 2 configuration error, 3 budget abort, 1 internal
-error.  `run` writes levels.csv, errors.csv and report.txt into the output
-directory; `sweep` writes one errors.csv row per level.
+Exit codes: 0 success, 2 configuration error, 3 budget abort, 4 loss of
+ellipticity (the coefficient is nonpositive at a collocation point of the
+build), 1 internal error.  `run` writes levels.csv, errors.csv and report.txt
+into the output directory, and on exit 3 or 4 the partial levels.csv of the
+levels built so far; `sweep` writes one errors.csv row per level.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy
 from . import verify
 from .config import ExperimentConfig, load_config
 from .driver import LevelDiagnostics, MLSurrogate, error_metrics, run_ml
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, EllipticityError
 from .fields import make_model
 
 LEVEL_COLUMNS = ["level", "degree", "n", "r_eff", "r_max", "step1", "step2",
@@ -119,6 +121,11 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         _write_levels_csv(out_dir / "levels.csv", partial, [])
         print(f"budget abort: {err}", file=sys.stderr)
         return 3
+    except EllipticityError as err:
+        partial = getattr(err, "partial_diagnostics", [])
+        _write_levels_csv(out_dir / "levels.csv", partial, [])
+        print(f"ellipticity failure: {err}", file=sys.stderr)
+        return 4
     reference = _build_reference(cfg, model, surrogate)
     metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                             seed=cfg.seed, per_level=True)
@@ -233,6 +240,9 @@ def main(argv=None) -> int:
     except BudgetError as err:
         print(f"budget abort: {err}", file=sys.stderr)
         return 3
+    except EllipticityError as err:
+        print(f"ellipticity failure: {err}", file=sys.stderr)
+        return 4
     except Exception as err:  # pragma: no cover - internal failures
         print(f"internal error: {err}", file=sys.stderr)
         return 1

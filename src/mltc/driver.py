@@ -28,8 +28,8 @@ import numpy as np
 from .colloc import CollocationGrid
 from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
-from .errors import BudgetError
-from .fem import (build_grid, delta_vector, functional_psi, h1_frame,
+from .errors import BudgetError, EllipticityError
+from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at)
 from .fields import CoefficientModel
 from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
@@ -101,7 +101,8 @@ class LevelDiagnostics:
     step1_evals: int = 0
     step2_evals: int = 0
     fibers: int = 0
-    pde_solves: int = 0
+    pde_solves: int = 0          # FE solves the level's fibers need, reused or not
+    solves_reused: int = 0       # of those, coarse solves taken from the previous level
     time_s: float = 0.0
     cross_residual: float = float("nan")
     converged: bool = False
@@ -211,9 +212,13 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     """Build the multilevel surrogate level by level.
 
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
-    feeds the three-step compression at accuracy eps_l.  Returns the
-    surrogate and per-level diagnostics; a budget abort raises BudgetError
-    with the diagnostics gathered so far attached as `partial_diagnostics`.
+    feeds the three-step compression at accuracy eps_l.  When p(l) = p(l-1)
+    the two levels share their collocation nodes, and level l takes its
+    coarse solve u_{l-1}(y_k) from the fine solves level l-1 made.  Returns
+    the surrogate and per-level diagnostics; a budget abort (BudgetError) or a
+    coefficient that is nonpositive at a collocation point (EllipticityError)
+    is raised with the diagnostics gathered so far attached as
+    `partial_diagnostics`.
     """
     if n_params < 1:
         raise ValueError("need at least one parametric dimension")
@@ -224,6 +229,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
 
     records: list[LevelRecord] = []
     diags: list[LevelDiagnostics] = []
+    previous = {}       # node index -> u_{level-1}, when level-1 had the same nodes
     for level in range(L + 1):
         p = plan.degrees[level]
         eps_l = plan.accuracies[level]
@@ -232,11 +238,24 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag = LevelDiagnostics(level=level, degree=p, n_spatial=n_spatial,
                                 eps_target=eps_l)
         t0 = timer()
-        nodes = grid.nodes
+        # filled from the pool threads, one key per fetched fiber
+        solves = {} if level < L and plan.degrees[level + 1] == p else None
+        reused = set()
 
-        def fetch(j, level=level, nodes=nodes):
+        def fetch(j, level=level, nodes=grid.nodes, coarse=previous, solves=solves,
+                  reused=reused):
             y = nodes[list(j)]
-            return delta_vector(y, level, model)
+            u = solve_at(y, level, model)
+            if solves is not None:
+                solves[j] = u
+            if level:
+                u_coarse = coarse.get(j)
+                if u_coarse is None:
+                    u_coarse = solve_at(y, level - 1, model)
+                else:
+                    reused.add(j)
+                u = u - prolongate(u_coarse, level)
+            return h1_frame(level).to_h1(u)
 
         source = ColumnSource((p + 1,) * n_params, n_spatial, fetch,
                               max_workers=threads, budget=budget)
@@ -245,10 +264,11 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         try:
             result: ApproxResult = approximate_tensor(
                 source, tree, eps_l, rng=rng, rank_cap=rank_cap)
-        except BudgetError as err:
+        except (BudgetError, EllipticityError) as err:
             diag.time_s = timer() - t0
             diag.fibers = source.n_fetched
             diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
+            diag.solves_reused = len(reused)
             diags.append(diag)
             err.partial_diagnostics = diags
             raise
@@ -257,12 +277,14 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag.step2_evals = result.step2_evals
         diag.fibers = source.n_fetched
         diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
+        diag.solves_reused = len(reused)
         diag.cross_residual = result.cross_diag.validation_residual
         diag.converged = result.cross_diag.converged
         rep = storage_and_ranks(result.tensor)
         diag.r_max, diag.r_eff, diag.storage = rep.r_max, rep.r_eff, rep.storage_scalars
         records.append(LevelRecord(level, grid, result.tensor))
         diags.append(diag)
+        previous = solves or {}
     return MLSurrogate(model, n_params, plan, records), diags
 
 

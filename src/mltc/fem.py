@@ -5,6 +5,18 @@ Dirichlet boundary; vectors always carry all nodes, with boundary rows of
 assembled operators replaced by identity.  Stiffness and load use tensorized
 2-point Gauss quadrature per element (exact for constant coefficients).
 
+Each grid builds its CSC sparsity pattern once, together with a gather map
+that lists, for every nonzero, the element contributions it sums.  Assembly is
+then one einsum for the element matrices and a gather-and-add into the cached
+pattern; no COO to CSC conversion runs per solve.  The contributions of a
+nonzero are added strictly left to right in the order in which
+`coo_matrix(...).tocsc()` adds them (contributions bucketed by column in input
+order, then scipy's `sort_indices` within each column).  Floating-point
+addition is not associative, so another order, such as `np.bincount` or
+`np.add.reduceat`, changes the last bits of the stiffness, and through the
+pivots of the cross approximation its fibers, entries and ranks.  The sines of
+the coefficient at the quadrature points are cached per grid as well.
+
 The H1 coordinate map is the sparse Cholesky factor R of the unit-coefficient
 stiffness: ||R c||_2 equals the H1_0 seminorm of the finite element function
 with coefficients c, so tensors can store R-coordinates and read off energy
@@ -21,7 +33,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import EllipticityError
-from .fields import CoefficientModel, evaluate
+from .fields import CoefficientModel, basis_values, evaluate
 
 MAX_LEVEL = 12
 
@@ -62,6 +74,7 @@ class GridLevel:
         self.m = 4 * 2**level + 1           # nodes per side
         self.h = 1.0 / (self.m - 1)
         self.n = self.m * self.m
+        self._basis = {}                    # terms -> basis values at quad_points
 
     @property
     def boundary_mask(self) -> np.ndarray:
@@ -91,6 +104,25 @@ class GridLevel:
             self._qp = origins[:, None, :] + _QPTS[None, :, :] * self.h
         return self._qp
 
+    @property
+    def stiffness_pattern(self):
+        """(indptr, indices, gather) of the assembled stiffness; see assemble()."""
+        if not hasattr(self, "_pattern"):
+            self._pattern = _stiffness_pattern(self)
+        return self._pattern
+
+    def quad_basis(self, model: CoefficientModel) -> np.ndarray:
+        """basis_values(model, ...) at the flattened quadrature points.
+
+        Cached per number of terms, read-only; it serves both coefficient kinds.
+        """
+        B = self._basis.get(model.terms)
+        if B is None:
+            B = basis_values(model, self.quad_points.reshape(-1, 2))
+            B.setflags(write=False)
+            self._basis[model.terms] = B
+        return B
+
     def node_coords(self) -> np.ndarray:
         t = np.arange(self.m) * self.h
         xx, yy = np.meshgrid(t, t, indexing="xy")
@@ -105,27 +137,75 @@ def build_grid(level: int) -> GridLevel:
     return GridLevel(level)
 
 
+def _stiffness_pattern(grid: GridLevel):
+    """CSC pattern of the stiffness and the gather map that fills it.
+
+    The stiffness sums the element contributions Ke[e, i, j] into entry
+    (E[e, i], E[e, j]), drops those with a boundary row or column and puts
+    1.0 on the boundary diagonal.  Contribution c is Ke.ravel()[c]; id
+    16 n_elements + 1 stands for the boundary 1.0 and id 16 n_elements for
+    -0.0, the padding.  Returns int32 (indptr, indices) and a (4, nnz) int32
+    gather map whose column k lists the contributions of nonzero k in the
+    order coo_matrix(...).tocsc() adds them, padded with the -0.0 id.
+    """
+    E = grid.elements.astype(np.int32)
+    n_contrib = 16 * E.shape[0]
+    inner = ~grid.boundary_mask[E]
+    keep = (inner[:, :, None] & inner[:, None, :]).ravel()
+    rows = np.repeat(E, 4, axis=1).ravel()[keep]
+    cols = np.tile(E, (1, 4)).ravel()[keep]
+    ids = np.flatnonzero(keep).astype(np.int32)
+    del E, inner, keep
+    b_idx = np.flatnonzero(grid.boundary_mask).astype(np.int32)
+    rows = np.concatenate([rows, b_idx])
+    cols = np.concatenate([cols, b_idx])
+    ids = np.concatenate([ids, np.full(b_idx.size, n_contrib + 1, dtype=np.int32)])
+    del b_idx
+    # coo_tocsr's order: bucket by column, input order kept within a column;
+    # then the same sort_indices call that sum_duplicates makes
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(grid.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=grid.n), out=indptr[1:])
+    del cols
+    M = sp.csc_matrix((ids[order], rows[order], indptr), shape=(grid.n, grid.n))
+    del order, rows, ids
+    M.sort_indices()
+    # a run of equal rows within a column is one nonzero
+    first = np.ones(M.nnz, dtype=bool)
+    first[1:] = M.indices[1:] != M.indices[:-1]
+    first[indptr[:-1]] = True
+    nonzero = np.cumsum(first, dtype=np.int32) - 1
+    starts = np.flatnonzero(first).astype(np.int32)
+    rank = np.arange(M.nnz, dtype=np.int32) - starts[nonzero]
+    gather = np.full((4, starts.size), n_contrib, dtype=np.int32)
+    gather[rank, nonzero] = M.data
+    del rank
+    out_indptr = np.zeros(grid.n + 1, dtype=np.int32)
+    out_indptr[1:] = nonzero[indptr[1:] - 1] + 1
+    indices = M.indices[starts]
+    for a in (out_indptr, indices, gather):
+        a.setflags(write=False)
+    return out_indptr, indices, gather
+
+
 def assemble(grid: GridLevel, coefficient) -> sp.csc_matrix:
     """Stiffness matrix for coefficient a(x); Dirichlet rows/columns set to identity.
 
-    `coefficient` maps an (P, 2) array of points to P positive values.
+    `coefficient` maps an (P, 2) array of points to P positive values.  The
+    result shares its read-only index arrays with the grid's cached pattern.
     """
     pts = grid.quad_points
     avals = np.asarray(coefficient(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     if avals.min() <= 0.0:
         raise EllipticityError("coefficient is nonpositive at a quadrature point")
     Ke = np.einsum("eq,qij->eij", avals * 0.25, _GMATS)
-    E = grid.elements
-    rows = np.repeat(E, 4, axis=1).ravel()
-    cols = np.tile(E, (1, 4)).ravel()
-    vals = Ke.ravel()
-    bnd = grid.boundary_mask
-    keep = ~bnd[rows] & ~bnd[cols]
-    b_idx = np.flatnonzero(bnd)
-    rows = np.concatenate([rows[keep], b_idx])
-    cols = np.concatenate([cols[keep], b_idx])
-    vals = np.concatenate([vals[keep], np.ones(b_idx.size)])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsc()
+    indptr, indices, gather = grid.stiffness_pattern
+    # x + (-0.0) == x for every float x, including -0.0, so the padding is exact
+    v = np.concatenate([Ke.ravel(), (-0.0, 1.0)])
+    data = ((v[gather[0]] + v[gather[1]]) + v[gather[2]]) + v[gather[3]]
+    A = sp.csc_matrix((data, indices, indptr), shape=(grid.n, grid.n))
+    A.has_canonical_format = True
+    return A
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +235,8 @@ def _factor_spd(A: sp.csc_matrix):
 def solve_at(y, level: int, model: CoefficientModel) -> np.ndarray:
     """FE solution of -div(a(y) grad u) = 1 with zero boundary values."""
     grid = build_grid(level)
-    A = assemble(grid, lambda pts: evaluate(model, y, pts))
+    basis = grid.quad_basis(model)
+    A = assemble(grid, lambda pts: evaluate(model, y, basis=basis))
     u = _factor_spd(A).solve(load_vector(level))
     u[grid.boundary_mask] = 0.0
     return u

@@ -84,12 +84,18 @@ def fluctuation(model: CoefficientModel, y, x) -> np.ndarray:
     return basis_values(model, x) @ (model.amplitudes * y)
 
 
-def evaluate(model: CoefficientModel, y, x):
-    """Coefficient value a(y, x); x has shape (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("spatial points must lie in the closed unit square")
-    f = fluctuation(model, y, x)
+def evaluate(model: CoefficientModel, y, x=None, *, basis=None):
+    """Coefficient value a(y, x); x has shape (..., 2).
+
+    A caller that evaluates many parameters at the same points passes
+    basis = basis_values(model, x) in place of x.
+    """
+    if basis is None:
+        x = np.asarray(x, dtype=float)
+        if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+            raise ValueError("spatial points must lie in the closed unit square")
+        basis = basis_values(model, x)
+    f = basis @ (model.amplitudes * _check_y(model, y))
     if model.kind == "affine":
         return model.mean + f
     return np.exp(f)

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from mltc import cli
 from mltc.cli import main
 from mltc.config import load_config
 from mltc.errors import ConfigError
+from mltc.fields import CoefficientModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -92,6 +94,25 @@ class TestRun:
                            eval_budget="10")
         assert main(["run", str(cfg)]) == 3
         assert (tmp_path / "out" / "levels.csv").exists()
+
+    def test_ellipticity_failure_exit_code(self, tmp_path, monkeypatch):
+        # make_model rejects this model; forcing the relaxation lets run_ml
+        # build level 0 and fail on level 1
+        relaxed = CoefficientModel("affine", "slow-algebraic", 3, 0.85,
+                                   relaxed_ellipticity=True)
+        monkeypatch.setattr(cli, "make_model", lambda *args: relaxed)
+        path = write_config(tmp_path / "c.ini", decay="slow-algebraic", terms=3,
+                            mean=0.85, max_level=2, ref_level=2,
+                            out_dir=tmp_path / "out")
+        assert cli.cmd_run(load_config(path)) == 4
+        levels = list(csv.DictReader(open(tmp_path / "out" / "levels.csv")))
+        assert [r["level"] for r in levels] == ["0", "1"]
+        assert [r["pde_solves"] for r in levels] == ["8", "0"]
+
+    def test_nonelliptic_model_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", decay="slow-algebraic", terms=3,
+                           mean=0.85, out_dir=tmp_path / "out")
+        assert main(["run", str(cfg)]) == 4
 
     def test_seed_override_changes_nothing_structural(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")

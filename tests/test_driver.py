@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,14 @@ import pytest
 from mltc import driver
 from mltc.colloc import CollocationGrid
 from mltc.config import load_config
+from mltc.cross import ColumnSource
 from mltc.driver import (LevelPlan, MLSurrogate, accuracy_schedule,
                          anisotropic_degrees, degree_schedule, error_metrics,
                          prolongate_to, run_ml)
-from mltc.fem import (build_grid, delta_nodal, h1_frame, prolongation_matrix,
-                      solve_at)
-from mltc.fields import make_model
+from mltc.errors import EllipticityError
+from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame,
+                      prolongation_matrix, solve_at)
+from mltc.fields import CoefficientModel, make_model
 from mltc.htensor import ht_contract
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -344,13 +348,108 @@ GOLDEN_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
-def test_golden_counts(name):
+def build_config(name, **overrides):
+    """Build a bundled config as `mltc run` builds it, with run_ml overrides."""
     cfg = load_config(CONFIGS / f"{name}.ini")
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
-    _, diags = run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0,
-                      tree_shape=cfg.tree, seed=cfg.seed, rank_cap=cfg.rank_cap,
-                      eval_budget=cfg.eval_budget, threads=cfg.threads)
+    kwargs = dict(eps0=cfg.eps0, tree_shape=cfg.tree, seed=cfg.seed,
+                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget,
+                  threads=cfg.threads)
+    return run_ml(model, cfg.terms, cfg.max_level, **{**kwargs, **overrides})
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+def test_golden_counts(name):
+    _, diags = build_config(name)
     got = [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.r_max)
            for d in diags]
     assert got == GOLDEN_COUNTS[name]
+
+
+def tensor_sha1(X):
+    h = hashlib.sha1()
+    for key in sorted(X.leaf_frames):
+        h.update(np.ascontiguousarray(X.leaf_frames[key]).tobytes())
+    for key in sorted(X.transfers):
+        h.update(np.ascontiguousarray(X.transfers[key]).tobytes())
+    return h.hexdigest()
+
+
+def level_counts(diags):
+    return [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.solves_reused,
+             d.r_max) for d in diags]
+
+
+@pytest.fixture(scope="module")
+def exp_small_solves():
+    """exp-decay-small built single-threaded, with every driver.solve_at call."""
+    calls = []
+
+    def counting(y, level, model):
+        calls.append((level, np.asarray(y, dtype=float).tobytes()))
+        return solve_at(y, level, model)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "solve_at", counting)
+        surrogate, diags = build_config("exp-decay-small", threads=1)
+    return surrogate, diags, calls
+
+
+class TestSolveReuse:
+    def test_solve_calls_match_accounting(self, exp_small_solves):
+        _, diags, calls = exp_small_solves
+        assert len(calls) == sum(d.pde_solves - d.solves_reused for d in diags)
+        assert sum(d.solves_reused for d in diags) == 208
+        # degrees (2, 2, 1, 1, 0): levels 1 and 3 reuse the solves of levels 0
+        # and 2 at the nodes those fetched
+        assert [d.solves_reused for d in diags] == [0, 176, 0, 32, 0]
+        assert len(set(calls)) == len(calls)        # no (level, y) solved twice
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_give_identical_levels(self, exp_small_solves, threads):
+        # the pool threads fill the reuse map; switch between them often
+        s1, d1, _ = exp_small_solves
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            s2, d2 = build_config("exp-decay-small", threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [tensor_sha1(r.tensor) for r in s2.records] == \
+            [tensor_sha1(r.tensor) for r in s1.records]
+        assert level_counts(d2) == level_counts(d1)
+
+    def test_reused_fibers_equal_fresh_differences(self, monkeypatch):
+        # degrees (1, 1, 0): level 1 takes every coarse solve from level 0
+        fibers = []
+
+        class Recording(ColumnSource):
+            def column(self, j):
+                col = super().column(j)
+                fibers.append((self.n_spatial, tuple(j), col))
+                return col
+
+        monkeypatch.setattr(driver, "ColumnSource", Recording)
+        surrogate, diags = run_ml(EXP2, 2, 2, seed=3)
+        assert diags[1].solves_reused == diags[1].fibers > 0
+        level_of = {build_grid(lev).n: lev for lev in range(3)}
+        nodes = surrogate.records[0].grid.nodes
+        for n, j, col in fibers:
+            if level_of[n] < 2:
+                want = delta_vector(nodes[list(j)], level_of[n], EXP2)
+                assert col.tobytes() == want.tobytes()
+
+
+class TestEllipticityFailure:
+    # accepted only because the relaxation is forced: level 0 builds, and the
+    # coefficient is negative at a level-1 quadrature point for the first node
+    MODEL = CoefficientModel("affine", "slow-algebraic", 3, 0.85,
+                             relaxed_ellipticity=True)
+
+    def test_partial_diagnostics_attached(self):
+        with pytest.raises(EllipticityError) as info:
+            run_ml(self.MODEL, 3, 2)
+        partial = info.value.partial_diagnostics
+        assert [d.level for d in partial] == [0, 1]
+        assert partial[0].converged and partial[0].fibers == 8
+        assert partial[1].fibers == 0

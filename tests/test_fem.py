@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mltc import fem
 from mltc.driver import prolongate_to
 from mltc.errors import EllipticityError
 from mltc.fem import (assemble, build_grid, delta_nodal, delta_vector,
@@ -32,6 +37,29 @@ def poisson_series_center(terms=799):
 
 ONES = lambda pts: np.ones(pts.shape[0])
 A2 = make_model("affine", "zero", 1)          # constant coefficient 2
+
+
+def coo_stiffness(grid, avals):
+    """Reference assembly: element matrices scattered as COO, summed by tocsc()."""
+    Ke = np.einsum("eq,qij->eij", avals.reshape(-1, 4) * 0.25, fem._GMATS)
+    E = grid.elements
+    rows = np.repeat(E, 4, axis=1).ravel()
+    cols = np.tile(E, (1, 4)).ravel()
+    vals = Ke.ravel()
+    bnd = grid.boundary_mask
+    keep = ~bnd[rows] & ~bnd[cols]
+    b_idx = np.flatnonzero(bnd)
+    rows = np.concatenate([rows[keep], b_idx])
+    cols = np.concatenate([cols[keep], b_idx])
+    vals = np.concatenate([vals[keep], np.ones(b_idx.size)])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsc()
+
+
+def assert_bitwise_equal(A, B):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestGrid:
@@ -78,6 +106,42 @@ class TestAssemble:
         grid = build_grid(0)
         with pytest.raises(EllipticityError):
             assemble(grid, lambda p: np.full(p.shape[0], -1.0))
+
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("kind", ["unit", "affine", "log-uniform"])
+    def test_bitwise_equal_to_coo_reference(self, level, kind, rng):
+        grid = build_grid(level)
+        if kind == "unit":
+            coefficient = ONES
+        else:
+            model = make_model(kind, "slow-algebraic", 4, 2.0)
+            y = rng.uniform(-1, 1, 4)
+            coefficient = lambda p: evaluate(model, y, p)
+        avals = coefficient(grid.quad_points.reshape(-1, 2))
+        assert_bitwise_equal(assemble(grid, coefficient), coo_stiffness(grid, avals))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2).flatmap(lambda level: st.tuples(
+        st.just(level),
+        hnp.arrays(np.float64, 4 * (4 * 2**level) ** 2,
+                   elements=st.floats(1e-300, 1e300)))))
+    def test_bitwise_equal_for_any_positive_values(self, case):
+        level, avals = case
+        grid = build_grid(level)
+        A = assemble(grid, lambda p: avals)
+        assert_bitwise_equal(A, coo_stiffness(grid, avals))
+
+    def test_quad_basis_serves_both_kinds(self, rng):
+        grid = build_grid(2)
+        affine = make_model("affine", "exponential", 3)
+        logu = make_model("log-uniform", "exponential", 3)
+        basis = grid.quad_basis(affine)
+        assert grid.quad_basis(logu) is basis
+        pts = grid.quad_points.reshape(-1, 2)
+        for model in (affine, logu):
+            y = rng.uniform(-1, 1, 3)
+            assert evaluate(model, y, basis=basis).tobytes() == \
+                evaluate(model, y, pts).tobytes()
 
     def test_spd_for_valid_models(self):
         # Cholesky-style factorization must succeed at every tested level
