@@ -1,10 +1,13 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
-Exit codes: 0 success, 2 configuration error, 3 budget abort, 4 loss of
-ellipticity (the coefficient is nonpositive at a collocation point of the
-build), 1 internal error.  `run` writes levels.csv, errors.csv and report.txt
-into the output directory, and on exit 3 or 4 the partial levels.csv of the
-levels built so far; `sweep` writes one errors.csv row per level.
+Exit codes: 0 success, 2 configuration error (including an unknown config
+key or section), 3 budget abort, 4 loss of ellipticity (the coefficient is
+nonpositive at a collocation point of the build), 1 internal error.  `run`
+writes levels.csv, errors.csv and report.txt into the output directory.  On
+exit 3 or 4 it writes levels.csv alone, with eps_level empty: the levels built
+so far, or every level of the finished build when only the reference build
+fails.  `sweep` writes one errors.csv row per level, and on exit 3 or 4 the
+rows of the levels finished so far.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import scipy
 
 from . import verify
 from .config import ExperimentConfig, load_config
-from .driver import LevelDiagnostics, MLSurrogate, error_metrics, run_ml
+from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, error_metrics,
+                     run_ml)
 from .errors import BudgetError, ConfigError, EllipticityError
 from .fields import make_model
 
@@ -34,19 +38,25 @@ ERROR_COLUMNS = ["max_level", "eps_ml_u", "eps_e_u", "eps_ml_psi", "eps_e_psi"]
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     return cfg.validate()
 
 
-def _environment_stamp(cfg: ExperimentConfig) -> list[str]:
-    timing = "cpu (single thread)" if cfg.threads == 1 else "wall clock"
+def _abort(err: BudgetError | EllipticityError) -> int:
+    """Report a budget abort (exit 3) or a loss of ellipticity (exit 4)."""
+    if isinstance(err, BudgetError):
+        print(f"budget abort: {err}", file=sys.stderr)
+        return 3
+    print(f"ellipticity failure: {err}", file=sys.stderr)
+    return 4
+
+
+def _environment_stamp() -> list[str]:
     return [
         f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}",
         f"platform {platform.platform()}",
-        f"timing mode: {timing}",
+        "timing mode: cpu",
         f"generated {datetime.datetime.now().isoformat(timespec='seconds')}",
     ]
 
@@ -56,32 +66,29 @@ def _write_levels_csv(path: Path, diags: list[LevelDiagnostics], eps_level):
         w = csv.writer(fh)
         w.writerow(LEVEL_COLUMNS)
         for d in diags:
-            eps = eps_level[d.level] if d.level < len(eps_level) else float("nan")
+            eps = f"{eps_level[d.level]:.6e}" if d.level < len(eps_level) else ""
             w.writerow([d.level, d.degree, d.n_spatial, f"{d.r_eff:.6f}", d.r_max,
                         d.step1_evals, d.step2_evals, d.pde_solves,
-                        f"{d.time_s:.6f}", f"{eps:.6e}"])
+                        f"{d.time_s:.6f}", eps])
 
 
-def _write_errors_csv(path: Path, rows: list[dict]):
+def _write_errors_csv(path: Path, rows: list[tuple[int, ErrorMetrics]]):
+    """One row per (max_level, metrics); a missing expectation error stays empty."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ERROR_COLUMNS)
-        for r in rows:
-            w.writerow([r["max_level"],
-                        f"{r['eps_ml_u']:.6e}",
-                        "" if r["eps_e_u"] is None else f"{r['eps_e_u']:.6e}",
-                        f"{r['eps_ml_psi']:.6e}",
-                        "" if r["eps_e_psi"] is None else f"{r['eps_e_psi']:.6e}"])
+        for L, m in rows:
+            w.writerow([L] + ["" if v is None else f"{v:.6e}"
+                              for v in (m.eps_ml_u, m.eps_e_u, m.eps_ml_psi, m.eps_e_psi)])
 
 
 def _level_table(diags: list[LevelDiagnostics], eps_level) -> list[str]:
     lines = [f"{'l':>3} {'p':>3} {'n':>8} {'r_eff':>7} {'r_max':>5} "
              f"{'step1':>7} {'step2':>8} {'solves':>7} {'time[s]':>9} {'eps(l)':>11}"]
     for d in diags:
-        eps = eps_level[d.level] if d.level < len(eps_level) else float("nan")
         lines.append(f"{d.level:>3} {d.degree:>3} {d.n_spatial:>8} {d.r_eff:>7.2f} "
                      f"{d.r_max:>5} {d.step1_evals:>7} {d.step2_evals:>8} "
-                     f"{d.pde_solves:>7} {d.time_s:>9.2f} {eps:>11.3e}")
+                     f"{d.pde_solves:>7} {d.time_s:>9.2f} {eps_level[d.level]:>11.3e}")
     return lines
 
 
@@ -90,7 +97,7 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
         f"config: {cfg.source or '<defaults>'}",
         f"model: kind={cfg.kind} decay={cfg.decay} terms={cfg.terms} mean={cfg.mean}",
         f"run: max_level={cfg.max_level} ref_level={cfg.ref_level} eps0={cfg.eps0} "
-        f"samples={cfg.samples} seed={cfg.seed} tree={cfg.tree} threads={cfg.threads}",
+        f"samples={cfg.samples} seed={cfg.seed} tree={cfg.tree}",
         f"budgets: rank_cap={cfg.rank_cap} eval_budget={cfg.eval_budget}",
     ]
 
@@ -102,7 +109,7 @@ def _build_reference(cfg: ExperimentConfig, model, surrogate) -> MLSurrogate | N
         return surrogate
     ref, _ = run_ml(model, cfg.terms, cfg.ref_level, eps0=cfg.eps0,
                     tree_shape=cfg.tree, seed=cfg.seed + 1, rank_cap=cfg.rank_cap,
-                    eval_budget=cfg.eval_budget, threads=cfg.threads)
+                    eval_budget=cfg.eval_budget)
     return ref
 
 
@@ -111,31 +118,23 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
     t0 = time.perf_counter()
+    diags = []
     try:
         surrogate, diags = run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0,
                                   tree_shape=cfg.tree, seed=cfg.seed,
-                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget,
-                                  threads=cfg.threads)
-    except BudgetError as err:
-        partial = getattr(err, "partial_diagnostics", [])
+                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+        reference = _build_reference(cfg, model, surrogate)
+    except (BudgetError, EllipticityError) as err:
+        # a failed reference build keeps the levels of the finished main build
+        partial = diags or getattr(err, "partial_diagnostics", [])
         _write_levels_csv(out_dir / "levels.csv", partial, [])
-        print(f"budget abort: {err}", file=sys.stderr)
-        return 3
-    except EllipticityError as err:
-        partial = getattr(err, "partial_diagnostics", [])
-        _write_levels_csv(out_dir / "levels.csv", partial, [])
-        print(f"ellipticity failure: {err}", file=sys.stderr)
-        return 4
-    reference = _build_reference(cfg, model, surrogate)
+        return _abort(err)
     metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                             seed=cfg.seed, per_level=True)
     elapsed = time.perf_counter() - t0
 
     _write_levels_csv(out_dir / "levels.csv", diags, metrics.eps_level_u)
-    row = {"max_level": cfg.max_level, "eps_ml_u": metrics.eps_ml_u,
-           "eps_e_u": metrics.eps_e_u, "eps_ml_psi": metrics.eps_ml_psi,
-           "eps_e_psi": metrics.eps_e_psi}
-    _write_errors_csv(out_dir / "errors.csv", [row])
+    _write_errors_csv(out_dir / "errors.csv", [(cfg.max_level, metrics)])
 
     lines = _config_echo(cfg)
     if model.relaxed_ellipticity:
@@ -152,7 +151,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         lines.append(f"eps_E[psi]  = {metrics.eps_e_psi:.6e}")
     lines.append(f"total time: {elapsed:.1f}s")
     lines.append("")
-    lines.extend(_environment_stamp(cfg))
+    lines.extend(_environment_stamp())
     (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -169,31 +168,26 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
+    rows = []
     try:
         reference, _ = run_ml(model, cfg.terms, ref_level, eps0=cfg.eps0,
                               tree_shape=cfg.tree, seed=cfg.seed + 1,
-                              rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget,
-                              threads=cfg.threads)
-        rows = []
+                              rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
         for L in levels:
             surrogate, _ = run_ml(model, cfg.terms, L, eps0=cfg.eps0,
                                   tree_shape=cfg.tree, seed=cfg.seed,
-                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget,
-                                  threads=cfg.threads)
+                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
             metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                                     seed=cfg.seed, per_level=False)
-            rows.append({"max_level": L, "eps_ml_u": metrics.eps_ml_u,
-                         "eps_e_u": metrics.eps_e_u,
-                         "eps_ml_psi": metrics.eps_ml_psi,
-                         "eps_e_psi": metrics.eps_e_psi})
+            rows.append((L, metrics))
             print(f"L={L}: eps_ml[u]={metrics.eps_ml_u:.6e} "
                   f"eps_E[u]={metrics.eps_e_u:.6e} "
                   f"eps_ml[psi]={metrics.eps_ml_psi:.6e} "
                   f"eps_E[psi]={metrics.eps_e_psi:.6e}")
-    except BudgetError as err:
-        print(f"budget abort: {err}", file=sys.stderr)
-        return 3
-    _write_errors_csv(out_dir / "errors.csv", rows)
+    except (BudgetError, EllipticityError) as err:
+        return _abort(err)
+    finally:
+        _write_errors_csv(out_dir / "errors.csv", rows)     # the levels finished so far
     return 0
 
 
@@ -204,8 +198,6 @@ def cmd_verify() -> int:
 def main(argv=None) -> int:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None, help="override config seed")
-    shared.add_argument("--threads", type=int, default=None,
-                        help="worker pool size for fiber evaluation")
     shared.add_argument("--out-dir", default=None, help="override output directory")
     parser = argparse.ArgumentParser(
         prog="mltc",
@@ -237,12 +229,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except BudgetError as err:
-        print(f"budget abort: {err}", file=sys.stderr)
-        return 3
-    except EllipticityError as err:
-        print(f"ellipticity failure: {err}", file=sys.stderr)
-        return 4
+    except (BudgetError, EllipticityError) as err:
+        return _abort(err)
     except Exception as err:  # pragma: no cover - internal failures
         print(f"internal error: {err}", file=sys.stderr)
         return 1

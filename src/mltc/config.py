@@ -1,7 +1,8 @@
 """Experiment configuration files (INI key-value format).
 
 Two sections: [model] selects the diffusion coefficient, [run] the schedule
-and reporting knobs.  See configs/ for bundled examples.
+and reporting knobs.  An unknown section or key is an error, so a misspelled
+key never runs silently with its default.  See configs/ for bundled examples.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class ExperimentConfig:
     samples: int = 100
     seed: int = 2024
     tree: str = "balanced"
-    threads: int = 1
     rank_cap: int = DEFAULT_RANK_CAP
     eval_budget: int = DEFAULT_EVAL_BUDGET
     out_dir: str = "out"
@@ -50,9 +50,16 @@ class ExperimentConfig:
             raise ConfigError("samples must be at least 1")
         if self.tree not in ("balanced", "linear"):
             raise ConfigError("tree must be 'balanced' or 'linear'")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         return self
+
+
+# the keys each section accepts, with the type each value is read as
+KEYS = {
+    "model": {"kind": str, "decay": str, "terms": int, "mean": float},
+    "run": {"max_level": int, "ref_level": int, "eps0": float, "samples": int,
+            "seed": int, "tree": str, "rank_cap": int, "eval_budget": int,
+            "out_dir": str},
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -66,26 +73,14 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 
     cfg = ExperimentConfig(source=str(path))
-    try:
-        if parser.has_section("model"):
-            m = parser["model"]
-            cfg.kind = m.get("kind", cfg.kind).strip()
-            cfg.decay = m.get("decay", cfg.decay).strip()
-            cfg.terms = m.getint("terms", cfg.terms)
-            cfg.mean = m.getfloat("mean", cfg.mean)
-        if parser.has_section("run"):
-            r = parser["run"]
-            cfg.max_level = r.getint("max_level", cfg.max_level)
-            if "ref_level" in r:
-                cfg.ref_level = r.getint("ref_level")
-            cfg.eps0 = r.getfloat("eps0", cfg.eps0)
-            cfg.samples = r.getint("samples", cfg.samples)
-            cfg.seed = r.getint("seed", cfg.seed)
-            cfg.tree = r.get("tree", cfg.tree).strip()
-            cfg.threads = r.getint("threads", cfg.threads)
-            cfg.rank_cap = r.getint("rank_cap", cfg.rank_cap)
-            cfg.eval_budget = r.getint("eval_budget", cfg.eval_budget)
-            cfg.out_dir = r.get("out_dir", cfg.out_dir).strip()
-    except ValueError as err:
-        raise ConfigError(f"bad value in {path}: {err}") from err
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key, text in parser[section].items():
+            if key not in KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
+            try:
+                setattr(cfg, key, KEYS[section][key](text.strip()))
+            except ValueError as err:
+                raise ConfigError(f"bad value for {key} in {path}: {err}") from err
     return cfg.validate()

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,22 +43,19 @@ class EvalBudget:
     def __init__(self, limit=DEFAULT_EVAL_BUDGET):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def charge(self, amount: int):
-        with self._lock:
-            self.used += amount
-            if self.limit is not None and self.used > self.limit:
-                raise BudgetError(
-                    f"evaluation budget exhausted ({self.used} > {self.limit})")
+        self.used += amount
+        if self.limit is not None and self.used > self.limit:
+            raise BudgetError(
+                f"evaluation budget exhausted ({self.used} > {self.limit})")
 
 
 class EntryOracle:
     """Cached scalar-entry oracle over a product index set.
 
     Repeated queries hit the cache and do not increment the counter; the
-    counter therefore reports distinct evaluated entries.  Safe for
-    concurrent queries (first writer per key wins).
+    counter therefore reports distinct evaluated entries.
     """
 
     def __init__(self, shape, fn, batch_fn=None, budget: EvalBudget | None = None):
@@ -68,14 +63,12 @@ class EntryOracle:
         self._fn = fn
         self._batch_fn = batch_fn
         self._cache = {}
-        self._count = 0
         self._max_abs = 0.0
         self._budget = budget
-        self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
-        return self._count
+        return len(self._cache)
 
     @property
     def max_abs(self) -> float:
@@ -91,19 +84,14 @@ class EntryOracle:
     def _store(self, idx, value):
         if not np.isfinite(value):
             raise ArithmeticError(f"oracle returned non-finite value at {idx}")
-        with self._lock:
-            if idx not in self._cache:
-                self._cache[idx] = value
-                self._count += 1
-                if abs(value) > self._max_abs:
-                    self._max_abs = abs(value)
-        return self._cache[idx]
+        self._cache[idx] = value
+        self._max_abs = max(self._max_abs, abs(value))
+        return value
 
     def entry(self, idx) -> float:
         idx = tuple(int(i) for i in idx)
-        with self._lock:
-            if idx in self._cache:
-                return self._cache[idx]
+        if idx in self._cache:
+            return self._cache[idx]
         self._check(idx)
         if self._budget is not None:
             self._budget.charge(1)
@@ -111,13 +99,7 @@ class EntryOracle:
 
     def entries(self, indices) -> np.ndarray:
         indices = [tuple(int(i) for i in idx) for idx in indices]
-        missing = []
-        seen = set()
-        with self._lock:
-            for idx in indices:
-                if idx not in self._cache and idx not in seen:
-                    missing.append(idx)
-                    seen.add(idx)
+        missing = list(dict.fromkeys(idx for idx in indices if idx not in self._cache))
         if missing and self._batch_fn is not None:
             for idx in missing:
                 self._check(idx)
@@ -126,33 +108,27 @@ class EntryOracle:
             values = self._batch_fn(missing)
             for idx, v in zip(missing, values):
                 self._store(idx, float(v))
-        elif missing:
+        else:
             for idx in missing:
                 self.entry(idx)
-        with self._lock:
-            return np.array([self._cache[idx] for idx in indices])
+        return np.array([self._cache[idx] for idx in indices])
 
 
 class ColumnSource:
     """Cached access to the spatial columns X[j, :] of a fiber-structured tensor.
 
     `fetch` maps a parametric multi-index to the full spatial fiber.  Each
-    distinct fiber is fetched exactly once; `n_fetched` counts them.  Batch
-    requests may fan out to a thread pool; results are keyed by index, so
-    completion order does not matter.  A `budget` is charged n_spatial per
-    fetched fiber, and one per entry of the oracles reduce_oracle derives.
+    distinct fiber is fetched exactly once; `n_fetched` counts them.  A
+    `budget` is charged n_spatial per fetched fiber, and one per entry of the
+    oracles reduce_oracle derives.
     """
 
-    def __init__(self, param_shape, n_spatial, fetch, max_workers: int = 1,
-                 budget: EvalBudget | None = None):
+    def __init__(self, param_shape, n_spatial, fetch, budget: EvalBudget | None = None):
         self.param_shape = tuple(int(s) for s in param_shape)
         self.n_spatial = int(n_spatial)
         self._fetch = fetch
         self._cache = {}
-        self._count = 0
-        self._max_workers = max(1, int(max_workers))
         self.budget = budget
-        self._lock = threading.Lock()
 
     @classmethod
     def from_entry_oracle(cls, oracle: EntryOracle, **kw):
@@ -165,42 +141,29 @@ class ColumnSource:
 
     @property
     def n_fetched(self) -> int:
-        return self._count
-
-    def _store(self, j, col):
-        col = np.asarray(col, dtype=float)
-        if col.shape != (self.n_spatial,):
-            raise ValueError("fiber has wrong length")
-        if not np.all(np.isfinite(col)):
-            raise ArithmeticError(f"non-finite fiber at {j}")
-        with self._lock:
-            if j not in self._cache:
-                self._cache[j] = col
-                self._count += 1
-        return self._cache[j]
+        return len(self._cache)
 
     def column(self, j) -> np.ndarray:
         j = tuple(int(i) for i in j)
-        with self._lock:
-            if j in self._cache:
-                return self._cache[j]
+        if j in self._cache:
+            return self._cache[j]
         for i, n in zip(j, self.param_shape):
             if not 0 <= i < n:
                 raise ValueError(f"parametric index {j} out of range")
         if self.budget is not None:
             self.budget.charge(self.n_spatial)
-        return self._store(j, self._fetch(j))
+        col = np.asarray(self._fetch(j), dtype=float)
+        if col.shape != (self.n_spatial,):
+            raise ValueError("fiber has wrong length")
+        if not np.all(np.isfinite(col)):
+            raise ArithmeticError(f"non-finite fiber at {j}")
+        self._cache[j] = col
+        return col
 
     def columns(self, js) -> dict:
         js = [tuple(int(i) for i in j) for j in js]
-        with self._lock:
-            missing = sorted({j for j in js if j not in self._cache})
-        if missing and self._max_workers > 1:
-            with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-                list(pool.map(self.column, missing))
-        else:
-            for j in missing:
-                self.column(j)
+        for j in sorted({j for j in js if j not in self._cache}):
+            self.column(j)
         return {j: self._cache[j] for j in js}
 
 

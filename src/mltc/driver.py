@@ -19,7 +19,6 @@ coefficients, so no batch is split into chunks.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,24 +41,6 @@ def degree_schedule(L: int) -> list[int]:
     return [(L - level + 1) // 2 for level in range(L + 1)]
 
 
-def anisotropic_degrees(eps: float, gammas, c: float = 1.0) -> list[int]:
-    """Per-dimension degrees p_k = ceil(log eps / log(c gamma_k / 2)) - 1.
-
-    Diagnostic only: this is the degree rule matched to per-dimension decay
-    rates gamma_k (requires c * gamma_k < 2); the level schedules actually
-    used are isotropic.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    out = []
-    for g in gammas:
-        q = c * g / 2.0
-        if not 0 < q < 1:
-            raise ValueError("need 0 < c * gamma / 2 < 1")
-        out.append(max(math.ceil(math.log(eps) / math.log(q)) - 1, 0))
-    return out
-
-
 def accuracy_schedule(L: int, eps0: float = 0.25) -> list[float]:
     """Tensor accuracies eps_l = 2^(l-L) * eps0, doubling per level."""
     return [2.0 ** (level - L) * eps0 for level in range(L + 1)]
@@ -77,9 +58,6 @@ class LevelPlan:
     @property
     def accuracies(self) -> tuple:
         return tuple(accuracy_schedule(self.max_level, self.eps0))
-
-    def collocation_counts(self, n_params: int) -> tuple:
-        return tuple((p + 1) ** n_params for p in self.degrees)
 
 
 @dataclass
@@ -219,13 +197,17 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     coefficient that is nonpositive at a collocation point (EllipticityError)
     is raised with the diagnostics gathered so far attached as
     `partial_diagnostics`.
+
+    `threads` accepts only 1 and does nothing else; the benchmark still
+    passes it, and it goes away with the next change to the benchmark.
     """
+    if threads != 1:
+        raise ValueError("threads must be 1: fibers are evaluated serially")
     if n_params < 1:
         raise ValueError("need at least one parametric dimension")
     plan = LevelPlan(L, eps0)
     seeds = np.random.SeedSequence(seed).spawn(L + 1)
     budget = EvalBudget(eval_budget)
-    timer = time.process_time if threads == 1 else time.perf_counter
 
     records: list[LevelRecord] = []
     diags: list[LevelDiagnostics] = []
@@ -237,8 +219,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         n_spatial = build_grid(level).n
         diag = LevelDiagnostics(level=level, degree=p, n_spatial=n_spatial,
                                 eps_target=eps_l)
-        t0 = timer()
-        # filled from the pool threads, one key per fetched fiber
+        t0 = time.process_time()
         solves = {} if level < L and plan.degrees[level + 1] == p else None
         reused = set()
 
@@ -257,27 +238,22 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
                 u = u - prolongate(u_coarse, level)
             return h1_frame(level).to_h1(u)
 
-        source = ColumnSource((p + 1,) * n_params, n_spatial, fetch,
-                              max_workers=threads, budget=budget)
+        source = ColumnSource((p + 1,) * n_params, n_spatial, fetch, budget=budget)
         tree = build_tree(n_params + 1, tree_shape)
         rng = np.random.default_rng(seeds[level])
         try:
             result: ApproxResult = approximate_tensor(
                 source, tree, eps_l, rng=rng, rank_cap=rank_cap)
         except (BudgetError, EllipticityError) as err:
-            diag.time_s = timer() - t0
+            err.partial_diagnostics = diags + [diag]    # counted by `finally`
+            raise
+        finally:
+            diag.time_s = time.process_time() - t0
             diag.fibers = source.n_fetched
             diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
             diag.solves_reused = len(reused)
-            diags.append(diag)
-            err.partial_diagnostics = diags
-            raise
-        diag.time_s = timer() - t0
         diag.step1_evals = result.step1_evals
         diag.step2_evals = result.step2_evals
-        diag.fibers = source.n_fetched
-        diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
-        diag.solves_reused = len(reused)
         diag.cross_residual = result.cross_diag.validation_residual
         diag.converged = result.cross_diag.converged
         rep = storage_and_ranks(result.tensor)

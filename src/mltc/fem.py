@@ -335,9 +335,6 @@ class H1Frame:
     def seminorm(self, c: np.ndarray) -> float:
         return float(np.linalg.norm(self.to_h1(c)))
 
-    def psi_of_h1(self, z: np.ndarray) -> float:
-        return float(self.psi_vec @ z)
-
 
 @lru_cache(maxsize=None)
 def h1_frame(level: int) -> H1Frame:
@@ -389,8 +386,3 @@ def seminorm_quadrature(v: np.ndarray, level: int, refine: int = 4) -> float:
                 total += w * float(np.sum(gx * gx + gy * gy))
     return math.sqrt(total)
 
-
-def dump_solution_text(v: np.ndarray, level: int, path) -> None:
-    """Write nodal values as an m x m plain-decimal grid (row-major)."""
-    grid = build_grid(level)
-    np.savetxt(path, np.asarray(v).reshape(grid.m, grid.m), fmt="%.17g")

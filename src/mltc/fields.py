@@ -78,12 +78,6 @@ def _check_y(model, y):
     return np.clip(y, -1.0, 1.0)
 
 
-def fluctuation(model: CoefficientModel, y, x) -> np.ndarray:
-    """sum_n sqrt(lambda_n) b_n(x) y_n."""
-    y = _check_y(model, y)
-    return basis_values(model, x) @ (model.amplitudes * y)
-
-
 def evaluate(model: CoefficientModel, y, x=None, *, basis=None):
     """Coefficient value a(y, x); x has shape (..., 2).
 

@@ -85,19 +85,6 @@ class DimensionTree:
     def complement(self, node: TreeNode) -> tuple:
         return tuple(m for m in range(self.order) if m not in node.modes)
 
-    def depth_first(self):
-        """Node indices ordered so children precede parents."""
-        order = []
-
-        def visit(i):
-            node = self.nodes[i]
-            for c in node.children:
-                visit(c)
-            order.append(i)
-
-        visit(self.root)
-        return order
-
     def breadth_first(self):
         order, queue = [], [self.root]
         while queue:
@@ -189,9 +176,6 @@ class HTensor:
     @property
     def ranks(self) -> dict:
         return dict(self._ranks)
-
-    def rank_of(self, node_index):
-        return self._ranks[node_index]
 
     def scaled(self, alpha: float) -> "HTensor":
         """Return alpha * self (scales the root transfer tensor)."""
@@ -393,9 +377,8 @@ def ht_norm(X: HTensor) -> float:
 def contract_modes(X: HTensor, weights: dict):
     """Contract the tensor with one weight vector per designated mode.
 
-    Returns an HTensor with the contracted modes reduced to size 1; if all
-    modes are contracted the scalar value is returned, and if exactly one
-    mode is left free a dense vector over that mode is returned.
+    With every mode contracted the scalar value is returned; with exactly one
+    mode left free, a dense vector over that mode.
     """
     weights = {int(m): np.asarray(w, dtype=float) for m, w in weights.items()}
     for m, w in weights.items():
@@ -406,14 +389,7 @@ def contract_modes(X: HTensor, weights: dict):
                              f"expected {X.mode_sizes[m]}")
     free = [m for m in range(X.order) if m not in weights]
     if len(free) > 1:
-        frames = dict(X.leaf_frames)
-        sizes = list(X.mode_sizes)
-        for m, w in weights.items():
-            leaf = X.tree.leaf_of_mode[m]
-            frames[leaf] = (w @ X.leaf_frames[leaf])[None, :]
-            sizes[m] = 1
-        return HTensor(X.tree, sizes, frames, dict(X.transfers))
-
+        raise ValueError(f"at most one mode may stay free, got {free}")
     rows = {m: (w @ X.leaf_frames[X.tree.leaf_of_mode[m]])[None, :]
             for m, w in weights.items()}
     if not free:

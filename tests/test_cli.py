@@ -6,7 +6,7 @@ import pytest
 from mltc import cli
 from mltc.cli import main
 from mltc.config import load_config
-from mltc.errors import ConfigError
+from mltc.errors import BudgetError, ConfigError, EllipticityError
 from mltc.fields import CoefficientModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -19,7 +19,7 @@ def write_config(path, **overrides):
     base = {
         "kind": "affine", "decay": "exponential", "terms": "2", "mean": "2.0",
         "max_level": "1", "ref_level": "2", "eps0": "0.25", "samples": "5",
-        "seed": "7", "tree": "balanced", "threads": "1", "out_dir": "out",
+        "seed": "7", "tree": "balanced", "out_dir": "out",
     }
     base.update({k: str(v) for k, v in overrides.items()})
     text = "[model]\n" + "".join(f"{k} = {base[k]}\n" for k in MODEL_KEYS)
@@ -27,6 +27,11 @@ def write_config(path, **overrides):
         f"{k} = {v}\n" for k, v in base.items() if k not in MODEL_KEYS)
     path.write_text(text)
     return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestConfig:
@@ -37,6 +42,25 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/no/such/file.ini")
+
+    @pytest.mark.parametrize("name", ["exp-decay-small", "exp-decay-full",
+                                      "lambda-zero", "log-uniform-small"])
+    def test_every_bundled_config_loads(self, name):
+        assert load_config(CONFIGS / f"{name}.ini").source.endswith(f"{name}.ini")
+
+    @pytest.mark.parametrize("key, value", [("eval_budjet", "200000000"),
+                                            ("threads", "2")])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        path = write_config(tmp_path / "c.ini", **{key: value})
+        with pytest.raises(ConfigError, match=rf"{key}.*\[run\]"):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = write_config(tmp_path / "c.ini")
+        path.write_text(path.read_text() + "[solver]\nkind = direct\n")
+        with pytest.raises(ConfigError, match="solver"):
+            load_config(path)
 
     def test_bad_values(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", decay="sqrt")
@@ -109,6 +133,34 @@ class TestRun:
         assert [r["level"] for r in levels] == ["0", "1"]
         assert [r["pde_solves"] for r in levels] == ["8", "0"]
 
+    @pytest.mark.parametrize("error, code", [(BudgetError, 3), (EllipticityError, 4)])
+    def test_failed_reference_keeps_levels(self, tmp_path, monkeypatch, error, code):
+        # the main build (first call) finishes; the reference build fails
+        run_ml = cli.run_ml
+        calls = []
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(args[2])
+            if len(calls) == 2:
+                raise error("reference build failed")
+            return run_ml(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ml", second_call_fails)
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == code
+        assert calls == [1, 2]                        # max_level, then ref_level
+        levels = read_rows(tmp_path / "out" / "levels.csv")
+        assert [r["level"] for r in levels] == ["0", "1"]
+        assert all(int(r["pde_solves"]) > 0 for r in levels)
+        assert [r["eps_level"] for r in levels] == ["", ""]
+        assert not (tmp_path / "out" / "errors.csv").exists()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(cfg), "--threads", "2"])
+        assert exit_info.value.code == 2
+
     def test_nonelliptic_model_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="slow-algebraic", terms=3,
                            mean=0.85, out_dir=tmp_path / "out")
@@ -165,6 +217,37 @@ class TestSweep:
         b = list(csv.DictReader(open(out_sweep / "errors.csv")))[0]
         assert a["eps_ml_u"] == b["eps_ml_u"]
         assert a["eps_e_u"] == b["eps_e_u"]
+
+    @pytest.mark.parametrize("error, code", [(BudgetError, 3), (EllipticityError, 4)])
+    def test_abort_keeps_finished_rows(self, tmp_path, monkeypatch, error, code):
+        # calls: the reference (L=3), L=1, then L=2 fails
+        run_ml = cli.run_ml
+        calls = []
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(args[2])
+            if len(calls) == 3:
+                raise error("level build failed")
+            return run_ml(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_ml", third_call_fails)
+        cfg = write_config(tmp_path / "c.ini", max_level="2", ref_level="3",
+                           out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1,2"]) == code
+        assert calls == [3, 1, 2]
+        rows = read_rows(tmp_path / "out" / "errors.csv")
+        assert [r["max_level"] for r in rows] == ["1"]
+        assert float(rows[0]["eps_ml_u"]) > 0
+
+    def test_failed_reference_writes_header_only(self, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise BudgetError("reference build failed")
+
+        monkeypatch.setattr(cli, "run_ml", fails)
+        cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1"]) == 3
+        with open(tmp_path / "out" / "errors.csv") as fh:
+            assert fh.read().strip() == ",".join(cli.ERROR_COLUMNS)
 
     def test_empty_levels(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")

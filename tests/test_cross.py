@@ -1,6 +1,5 @@
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,15 +37,6 @@ class TestEntryOracle:
         oracle = EntryOracle((2,), lambda idx: float("nan"))
         with pytest.raises(ArithmeticError):
             oracle.entry((0,))
-
-    def test_concurrent_queries(self, rng):
-        T = rng.standard_normal((6, 6))
-        oracle = dense_oracle(T)
-        idx = [(int(i), int(j)) for i in range(6) for j in range(6)] * 4
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            vals = list(pool.map(oracle.entry, idx))
-        assert oracle.count == 36
-        assert np.allclose(vals, [T[i] for i in idx])
 
 
 class TestTrainingSet:

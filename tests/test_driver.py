@@ -1,6 +1,5 @@
-import hashlib
 import itertools
-import sys
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +10,7 @@ from mltc.colloc import CollocationGrid
 from mltc.config import load_config
 from mltc.cross import ColumnSource
 from mltc.driver import (LevelPlan, MLSurrogate, accuracy_schedule,
-                         anisotropic_degrees, degree_schedule, error_metrics,
-                         prolongate_to, run_ml)
+                         degree_schedule, error_metrics, prolongate_to, run_ml)
 from mltc.errors import EllipticityError
 from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame,
                       prolongation_matrix, solve_at)
@@ -57,18 +55,12 @@ class TestSchedules:
         assert accuracy_schedule(3, 1e-2)[-1] == 1e-2
         assert accuracy_schedule(3, 1e-2)[0] == 1e-2 / 8
 
-    def test_collocation_counts(self):
-        plan = LevelPlan(4)
-        assert plan.collocation_counts(5) == (3**5, 3**5, 2**5, 2**5, 1)
-
-    def test_anisotropic_diagnostic(self):
-        # gamma = 1, c = 1: p = ceil(log eps / log(1/2)) - 1
-        assert anisotropic_degrees(2.0**-6, [1.0]) == [5]
-        # faster decay needs lower degree
-        p_fast, p_slow = anisotropic_degrees(1e-4, [0.2, 1.0])
-        assert p_fast < p_slow
-        with pytest.raises(ValueError):
-            anisotropic_degrees(1e-4, [2.5])
+    def test_collocation_counts(self, tight_n2_l2):
+        # each level tensor spans the (p+1)^N collocation points of its degree
+        surrogate, _ = tight_n2_l2
+        assert surrogate.plan.degrees == (1, 1, 0)
+        assert [math.prod(r.tensor.mode_sizes[:2]) for r in surrogate.records] == \
+            [2**2, 2**2, 1]
 
 
 class TestRunML:
@@ -104,11 +96,9 @@ class TestRunML:
             assert (a.step1_evals, a.step2_evals, a.r_max) == \
                 (b.step1_evals, b.step2_evals, b.r_max)
 
-    def test_thread_pool_same_result(self):
-        s1, _ = run_ml(EXP2, 2, 1, seed=9, threads=1)
-        s4, _ = run_ml(EXP2, 2, 1, seed=9, threads=4)
-        y = np.array([0.21, -0.68])
-        assert np.allclose(s1.evaluate(y), s4.evaluate(y), rtol=1e-13)
+    def test_threads_other_than_one_rejected(self):
+        with pytest.raises(ValueError):
+            run_ml(EXP2, 2, 1, seed=9, threads=2)
 
     def test_linear_tree_end_to_end(self, linear_n3_l2):
         surrogate, _ = linear_n3_l2
@@ -348,14 +338,12 @@ GOLDEN_COUNTS = {
 }
 
 
-def build_config(name, **overrides):
-    """Build a bundled config as `mltc run` builds it, with run_ml overrides."""
+def build_config(name):
+    """Build a bundled config as `mltc run` builds it."""
     cfg = load_config(CONFIGS / f"{name}.ini")
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
-    kwargs = dict(eps0=cfg.eps0, tree_shape=cfg.tree, seed=cfg.seed,
-                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget,
-                  threads=cfg.threads)
-    return run_ml(model, cfg.terms, cfg.max_level, **{**kwargs, **overrides})
+    return run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0, tree_shape=cfg.tree,
+                  seed=cfg.seed, rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
@@ -366,23 +354,9 @@ def test_golden_counts(name):
     assert got == GOLDEN_COUNTS[name]
 
 
-def tensor_sha1(X):
-    h = hashlib.sha1()
-    for key in sorted(X.leaf_frames):
-        h.update(np.ascontiguousarray(X.leaf_frames[key]).tobytes())
-    for key in sorted(X.transfers):
-        h.update(np.ascontiguousarray(X.transfers[key]).tobytes())
-    return h.hexdigest()
-
-
-def level_counts(diags):
-    return [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.solves_reused,
-             d.r_max) for d in diags]
-
-
 @pytest.fixture(scope="module")
 def exp_small_solves():
-    """exp-decay-small built single-threaded, with every driver.solve_at call."""
+    """exp-decay-small built as `mltc run` builds it, with every driver.solve_at call."""
     calls = []
 
     def counting(y, level, model):
@@ -391,7 +365,7 @@ def exp_small_solves():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(driver, "solve_at", counting)
-        surrogate, diags = build_config("exp-decay-small", threads=1)
+        surrogate, diags = build_config("exp-decay-small")
     return surrogate, diags, calls
 
 
@@ -404,20 +378,6 @@ class TestSolveReuse:
         # and 2 at the nodes those fetched
         assert [d.solves_reused for d in diags] == [0, 176, 0, 32, 0]
         assert len(set(calls)) == len(calls)        # no (level, y) solved twice
-
-    @pytest.mark.parametrize("threads", [2, 4])
-    def test_threads_give_identical_levels(self, exp_small_solves, threads):
-        # the pool threads fill the reuse map; switch between them often
-        s1, d1, _ = exp_small_solves
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            s2, d2 = build_config("exp-decay-small", threads=threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [tensor_sha1(r.tensor) for r in s2.records] == \
-            [tensor_sha1(r.tensor) for r in s1.records]
-        assert level_counts(d2) == level_counts(d1)
 
     def test_reused_fibers_equal_fresh_differences(self, monkeypatch):
         # degrees (1, 1, 0): level 1 takes every coarse solve from level 0

@@ -11,8 +11,8 @@ from mltc import fem
 from mltc.driver import prolongate_to
 from mltc.errors import EllipticityError
 from mltc.fem import (assemble, build_grid, delta_nodal, delta_vector,
-                      dump_solution_text, functional_psi, h1_frame,
-                      mass_vector, prolongate, seminorm_quadrature, solve_at)
+                      functional_psi, h1_frame, mass_vector, prolongate,
+                      seminorm_quadrature, solve_at)
 from mltc.fields import evaluate, make_model
 
 
@@ -282,19 +282,9 @@ class TestPsi:
         level = 2
         d = delta_nodal(y, level, model)
         frame = h1_frame(level)
-        assert np.isclose(frame.psi_of_h1(frame.to_h1(d)),
+        assert np.isclose(frame.psi_vec @ frame.to_h1(d),
                           functional_psi(d, level), rtol=1e-11)
 
 
 def test_mass_vector_total():
     assert np.isclose(mass_vector(3).sum(), 1.0)
-
-
-def test_dump_solution_text(tmp_path):
-    u = solve_at(np.zeros(1), 1, A2)
-    path = tmp_path / "u.txt"
-    dump_solution_text(u, 1, path)
-    back = np.loadtxt(path)
-    grid = build_grid(1)
-    assert back.shape == (grid.m, grid.m)
-    assert np.allclose(back.ravel(), u)

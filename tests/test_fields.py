@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mltc.errors import EllipticityError
-from mltc.fields import (basis_values, eigenvalue, ellipticity_bounds,
-                         evaluate, make_model)
+from mltc.fields import (CoefficientModel, basis_values, eigenvalue,
+                         ellipticity_bounds, evaluate, make_model)
 
 
 class TestEigenvalue:
@@ -66,9 +66,9 @@ class TestEvaluate:
         lu = make_model("log-uniform", "slow-algebraic", 4)
         y = rng.uniform(-1, 1, 4)
         x = rng.uniform(0, 1, (7, 2))
-        from mltc.fields import fluctuation
-        assert np.allclose(evaluate(lu, y, x), np.exp(fluctuation(lu, y, x)),
-                           rtol=1e-14)
+        # the affine coefficient with mean 0 is the fluctuation sum itself
+        affine_sum = evaluate(CoefficientModel("affine", "slow-algebraic", 4, 0.0), y, x)
+        assert np.allclose(evaluate(lu, y, x), np.exp(affine_sum), rtol=1e-14)
 
     def test_basis_vanishes_on_boundary(self):
         model = make_model("affine", "exponential", 6)

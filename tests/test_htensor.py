@@ -205,10 +205,15 @@ class TestContract:
         tree = build_tree(4, "linear")
         X = random_htensor(tree, (3, 2, 4, 3), 3, rng)
         T = ht_full(X)
-        w = {i: rng.standard_normal(X.mode_sizes[i]) for i in (0, 2)}
+        w = {i: rng.standard_normal(X.mode_sizes[i]) for i in (0, 2, 3)}
         out = contract_modes(X, w)
-        ref = np.einsum("abcd,a,c->bd", T, w[0], w[2])
-        assert np.allclose(ht_full(out)[0, :, 0, :], ref)
+        ref = np.einsum("abcd,a,c,d->b", T, w[0], w[2], w[3])
+        assert np.allclose(out, ref)
+
+    def test_two_free_modes_rejected(self, rng):
+        X = random_htensor(build_tree(4, "linear"), (3, 2, 4, 3), 2, rng)
+        with pytest.raises(ValueError):
+            contract_modes(X, {0: np.ones(3), 2: np.ones(4)})
 
     def test_all_modes_equals_entry(self, rng):
         tree = build_tree(4, "balanced")
@@ -252,7 +257,7 @@ def assert_matches_dense(got, X, weights, out):
 def with_identity_leaf(X, mode):
     """X with the leaf frame of `mode` replaced by the identity over its rank."""
     leaf = X.tree.leaf_of_mode[mode]
-    r = X.rank_of(leaf)
+    r = X.ranks[leaf]
     frames = dict(X.leaf_frames)
     frames[leaf] = np.eye(r)
     sizes = list(X.mode_sizes)
@@ -323,16 +328,16 @@ class TestContractProperties:
         X, _, rng = case
         modes = data.draw(st.sets(st.integers(0, X.order - 1)))
         w = {m: rng.standard_normal(X.mode_sizes[m]) for m in modes}
-        out = contract_modes(X, w)
         free = [m for m in range(X.order) if m not in w]
         if len(free) > 1:
-            assert isinstance(out, HTensor)
-            out = ht_full(out)
-        assert_matches_dense(out, X, w, free)
+            with pytest.raises(ValueError):
+                contract_modes(X, w)
+        else:
+            assert_matches_dense(contract_modes(X, w), X, w, free)
 
     def test_rows_must_cover_contracted_modes(self, rng):
         X = random_htensor(build_tree(3, "balanced"), (2, 3, 2), 2, rng)
-        rows = {m: np.ones((1, X.rank_of(X.tree.leaf_of_mode[m]))) for m in (0, 1)}
+        rows = {m: np.ones((1, X.ranks[X.tree.leaf_of_mode[m]])) for m in (0, 1)}
         with pytest.raises(ValueError):
             ht_contract(X, rows)
         with pytest.raises(ValueError):
@@ -340,7 +345,7 @@ class TestContractProperties:
         assert ht_contract(X, rows, free_mode=2).shape == (1, 2)
         with pytest.raises(ValueError):
             ht_coefficients(X, rows)
-        r_free = X.rank_of(X.tree.leaf_of_mode[2])
+        r_free = X.ranks[X.tree.leaf_of_mode[2]]
         assert ht_coefficients(X, rows, free_mode=2).shape == (1, r_free)
 
 
