@@ -7,7 +7,9 @@ writes levels.csv, errors.csv and report.txt into the output directory.  On
 exit 3 or 4 it writes levels.csv alone, with eps_level empty: the levels built
 so far, or every level of the finished build when only the reference build
 fails.  `sweep` writes one errors.csv row per level, and on exit 3 or 4 the
-rows of the levels finished so far.
+rows of the levels finished so far.  A level whose cross approximation ends
+unconverged is kept (exit 0), and `run` names it, with its validation
+residual and target, on stderr and in report.txt.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def _level_table(diags: list[LevelDiagnostics], eps_level) -> list[str]:
     return lines
 
 
+def _unconverged(diags: list[LevelDiagnostics]) -> list[str]:
+    return [f"warning: level {d.level} did not converge: cross_residual "
+            f"{d.cross_residual:.3e} > eps_target {d.eps_target:.3e}"
+            for d in diags if not d.converged]
+
+
 def _config_echo(cfg: ExperimentConfig) -> list[str]:
     return [
         f"config: {cfg.source or '<defaults>'}",
@@ -129,6 +137,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         partial = diags or getattr(err, "partial_diagnostics", [])
         _write_levels_csv(out_dir / "levels.csv", partial, [])
         return _abort(err)
+    warnings = _unconverged(diags)
+    for warning in warnings:
+        print(warning, file=sys.stderr)
     metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                             seed=cfg.seed, per_level=True)
     elapsed = time.perf_counter() - t0
@@ -142,6 +153,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                      "accepted via sampled minimum (> 0.05)")
     lines.append("")
     lines.extend(_level_table(diags, metrics.eps_level_u))
+    lines.extend(warnings)
     lines.append("")
     lines.append(f"eps_ml[u]  = {metrics.eps_ml_u:.6e}")
     if metrics.eps_e_u is not None:

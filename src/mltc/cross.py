@@ -15,6 +15,11 @@ tensors of the result are filled with oracle values at pivot-determined
 entries only.  A validation pass on random probe crosses decides whether a
 tightened re-sweep is needed.
 
+Oracle contract: an EntryOracle's `fn` takes an (m, d) int array of distinct,
+not yet cached multi-indices and returns their m values.  Step 2 reads the
+tensor only in blocks, one `entries` call per block, and the cache is keyed
+by the flat C-order index of each multi-index.
+
 Evaluation accounting: step 1 is counted in spatial fibers (one fiber is one
 column, i.e. one collocation-point evaluation of the underlying model) and
 step 2 in entries of the reduced tensor.
@@ -52,16 +57,16 @@ class EvalBudget:
 
 
 class EntryOracle:
-    """Cached scalar-entry oracle over a product index set.
+    """Cached entry oracle over a product index set.
 
-    Repeated queries hit the cache and do not increment the counter; the
-    counter therefore reports distinct evaluated entries.
+    `fn` maps an (m, d) int array of distinct, not yet cached multi-indices
+    to m values.  The cache is keyed by the flat C-order index, so repeated
+    queries do not reach `fn` and `count` reports distinct evaluated entries.
     """
 
-    def __init__(self, shape, fn, batch_fn=None, budget: EvalBudget | None = None):
+    def __init__(self, shape, fn, budget: EvalBudget | None = None):
         self.shape = tuple(int(s) for s in shape)
         self._fn = fn
-        self._batch_fn = batch_fn
         self._cache = {}
         self._max_abs = 0.0
         self._budget = budget
@@ -74,44 +79,30 @@ class EntryOracle:
     def max_abs(self) -> float:
         return self._max_abs
 
-    def _check(self, idx):
-        if len(idx) != len(self.shape):
-            raise ValueError("index length mismatch")
-        for i, n in zip(idx, self.shape):
-            if not 0 <= i < n:
-                raise ValueError(f"index {idx} out of range for shape {self.shape}")
-
-    def _store(self, idx, value):
-        if not np.isfinite(value):
-            raise ArithmeticError(f"oracle returned non-finite value at {idx}")
-        self._cache[idx] = value
-        self._max_abs = max(self._max_abs, abs(value))
-        return value
-
-    def entry(self, idx) -> float:
-        idx = tuple(int(i) for i in idx)
-        if idx in self._cache:
-            return self._cache[idx]
-        self._check(idx)
-        if self._budget is not None:
-            self._budget.charge(1)
-        return self._store(idx, float(self._fn(idx)))
-
     def entries(self, indices) -> np.ndarray:
-        indices = [tuple(int(i) for i in idx) for idx in indices]
-        missing = list(dict.fromkeys(idx for idx in indices if idx not in self._cache))
-        if missing and self._batch_fn is not None:
-            for idx in missing:
-                self._check(idx)
+        """Values at the rows of an (m, d) index array (or a list of d-tuples)."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.shape == (0,):
+            idx = idx.reshape(0, len(self.shape))
+        if idx.ndim != 2:
+            raise ValueError("indices must form an (m, d) array")
+        keys = np.ravel_multi_index(tuple(idx.T), self.shape).tolist()
+        cache = self._cache
+        first = {}          # flat index of each miss -> its first row in idx
+        for i, k in enumerate(keys):
+            if k not in cache and k not in first:
+                first[k] = i
+        if first:
             if self._budget is not None:
-                self._budget.charge(len(missing))
-            values = self._batch_fn(missing)
-            for idx, v in zip(missing, values):
-                self._store(idx, float(v))
-        else:
-            for idx in missing:
-                self.entry(idx)
-        return np.array([self._cache[idx] for idx in indices])
+                self._budget.charge(len(first))
+            values = np.asarray(self._fn(idx[list(first.values())]), dtype=float)
+            if values.shape != (len(first),):
+                raise ValueError("oracle returned the wrong number of values")
+            if not np.all(np.isfinite(values)):
+                raise ArithmeticError("oracle returned a non-finite value")
+            cache.update(zip(first, values.tolist()))
+            self._max_abs = max(self._max_abs, float(np.abs(values).max()))
+        return np.fromiter(map(cache.__getitem__, keys), dtype=float, count=len(keys))
 
 
 class ColumnSource:
@@ -135,7 +126,10 @@ class ColumnSource:
         param_shape, n_spatial = oracle.shape[:-1], oracle.shape[-1]
 
         def fetch(j):
-            return oracle.entries([j + (i,) for i in range(n_spatial)])
+            idx = np.empty((n_spatial, len(j) + 1), dtype=np.intp)
+            idx[:, :-1] = j
+            idx[:, -1] = np.arange(n_spatial)
+            return oracle.entries(idx)
 
         return cls(param_shape, n_spatial, fetch, **kw)
 
@@ -314,14 +308,11 @@ def reduce_oracle(source: ColumnSource, V: np.ndarray) -> EntryOracle:
     shape = source.param_shape + (r,)
 
     def fn(idx):
-        j, k = idx[:-1], idx[-1]
-        return float(V[:, k] @ source.column(j))
+        js = list(map(tuple, idx[:, :-1].tolist()))
+        cols = source.columns(js)
+        return [float(V[:, k] @ cols[j]) for j, k in zip(js, idx[:, -1].tolist())]
 
-    def batch(indices):
-        cols = source.columns([idx[:-1] for idx in indices])
-        return [float(V[:, idx[-1]] @ cols[idx[:-1]]) for idx in indices]
-
-    return EntryOracle(shape, fn, batch_fn=batch, budget=source.budget)
+    return EntryOracle(shape, fn, budget=source.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +443,6 @@ class _CrossRun:
 
     # -- index plumbing ----------------------------------------------------
 
-    def full_index(self, modes, row, comp, col) -> tuple:
-        idx = [0] * self.d
-        for m, v in zip(modes, row):
-            idx[m] = v
-        for m, v in zip(comp, col):
-            idx[m] = v
-        return tuple(idx)
-
-    def value(self, modes, row, comp, col) -> float:
-        return self.oracle.entry(self.full_index(modes, row, comp, col))
-
     @staticmethod
     def restrict(source_modes, idx, target_modes) -> tuple:
         pos = {m: i for i, m in enumerate(source_modes)}
@@ -478,8 +458,12 @@ class _CrossRun:
     # -- residuals ---------------------------------------------------------
 
     def _block(self, modes, rows, comp, cols) -> np.ndarray:
-        idx = [self.full_index(modes, r, comp, c) for r in rows for c in cols]
-        return self.oracle.entries(idx).reshape(len(rows), len(cols))
+        """Oracle values at (row over `modes`, col over `comp`), rows x cols."""
+        nr, nc = len(rows), len(cols)
+        idx = np.zeros((nr, nc, self.d), dtype=np.intp)
+        idx[:, :, list(modes)] = np.asarray(rows).reshape(nr, 1, len(modes))
+        idx[:, :, list(comp)] = np.asarray(cols).reshape(1, nc, len(comp))
+        return self.oracle.entries(idx.reshape(-1, self.d)).reshape(nr, nc)
 
     def _residual_block(self, st: _NodeState, rows, cols) -> np.ndarray:
         """Residual of the current skeleton on rows x cols (dense, small)."""
@@ -490,81 +474,50 @@ class _CrossRun:
         Vb = self._block(st.modes, st.rows, st.comp, cols)
         return y - U @ st.pm.solve(Vb)
 
-    def residual_over_cols(self, st, row, cols) -> np.ndarray:
-        return self._residual_block(st, [row], cols)[0]
-
-    def residual_over_rows(self, st, rows, col) -> np.ndarray:
-        return self._residual_block(st, rows, [col])[:, 0]
-
     # -- candidate pools ----------------------------------------------------
 
     def node_pools(self, st: _NodeState, parent_state: _NodeState | None,
                    sibling_modes) -> tuple[list, list]:
-        """(row candidate centers, column candidate pool) for one node."""
-        row_centers = []
-        seen = set()
+        """(row candidate centers, column candidate pool) for one node.
 
-        def add_row(r):
-            if r not in seen:
-                seen.add(r)
-                row_centers.append(r)
-
+        Candidates keep their first-seen order; dicts serve as ordered sets.
+        """
+        everything = range(self.d)
+        p_modes, p_rows, ctx_modes, contexts = (), [], (), {(): None}
         if parent_state is not None:
-            for pr in parent_state.rows:
-                add_row(self.restrict(parent_state.modes, pr, st.modes))
-        for r in st.rows:
-            add_row(r)
-        for hint in self.hints:
-            add_row(self.restrict(range(self.d), hint, st.modes))
-        for _ in range(50):
-            if len(row_centers) >= 3:
-                break
-            add_row(self.random_tuple(st.modes))
+            p_modes, p_rows = parent_state.modes, parent_state.rows
+            ctx_modes, contexts = parent_state.comp, dict.fromkeys(parent_state.cols)
 
-        contexts = [()] if parent_state is None else list(parent_state.cols)
-        for hint in self.hints:
-            ctx = self.restrict(range(self.d), hint,
-                                parent_state.comp if parent_state else ())
-            if ctx not in contexts:
-                contexts.append(ctx)
+        rows = dict.fromkeys([self.restrict(p_modes, r, st.modes) for r in p_rows] + st.rows
+                             + [self.restrict(everything, h, st.modes) for h in self.hints])
+        for _ in range(50):
+            if len(rows) >= 3:
+                break
+            rows.setdefault(self.random_tuple(st.modes))
+
+        contexts.update(dict.fromkeys(self.restrict(everything, h, ctx_modes)
+                                      for h in self.hints))
         for _ in range(self.extra_contexts):
-            ctx = (self.random_tuple(parent_state.comp) if parent_state is not None
-                   else ())
-            if ctx not in contexts:
-                contexts.append(ctx)
+            contexts.setdefault(self.random_tuple(ctx_modes))
 
-        sib_centers = []
-        sseen = set()
-
-        def add_sib(u):
-            if u not in sseen:
-                sseen.add(u)
-                sib_centers.append(u)
-
-        if parent_state is not None:
-            for pr in parent_state.rows:
-                add_sib(self.restrict(parent_state.modes, pr, sibling_modes))
-        for c in st.cols:
-            add_sib(self.restrict(st.comp, c, sibling_modes))
-        for hint in self.hints:
-            add_sib(self.restrict(range(self.d), hint, sibling_modes))
+        sibs = dict.fromkeys([self.restrict(p_modes, r, sibling_modes) for r in p_rows]
+                             + [self.restrict(st.comp, c, sibling_modes) for c in st.cols]
+                             + [self.restrict(everything, h, sibling_modes)
+                                for h in self.hints])
         for _ in range(50):
-            if len(sib_centers) >= 2:
+            if len(sibs) >= 2:
                 break
-            add_sib(self.random_tuple(sibling_modes))
+            sibs.setdefault(self.random_tuple(sibling_modes))
 
-        ctx_modes = parent_state.comp if parent_state is not None else ()
-        cols, cseen = [], set()
-        for u0 in sib_centers:
+        cols = {}
+        for u0 in sibs:
             for u in self.mode_cross(sibling_modes, u0):
                 for ctx in contexts:
                     col = self.merge_col(st.comp, sibling_modes, u, ctx_modes, ctx)
-                    if col not in cseen:
-                        cseen.add(col)
-                        cols.append(col)
-                        if len(cols) >= self.pool_cap:
-                            return row_centers, cols
-        return row_centers, cols
+                    cols.setdefault(col)
+                    if len(cols) >= self.pool_cap:
+                        return list(rows), list(cols)
+        return list(rows), list(cols)
 
     @staticmethod
     def merge_col(comp, sib_modes, sib_idx, ctx_modes, ctx_idx) -> tuple:
@@ -584,13 +537,13 @@ class _CrossRun:
             r = r0
             c = None
             for _ in range(3):
-                res = self.residual_over_cols(st, r, col_pool)
+                res = self._residual_block(st, [r], col_pool)[0]
                 jbest = int(np.argmax(np.abs(res)))
                 c = col_pool[jbest]
                 row_fiber = [x for x in self.mode_cross(st.modes, r) if x not in st.rows]
                 if not row_fiber:
                     break
-                resr = self.residual_over_rows(st, row_fiber, c)
+                resr = self._residual_block(st, row_fiber, [c])[:, 0]
                 ibest = int(np.argmax(np.abs(resr)))
                 r_new = row_fiber[ibest]
                 val = abs(resr[ibest])
@@ -620,8 +573,7 @@ class _CrossRun:
                 break
             # conditioning guard: reject pivots that degenerate the block
             rows_new, cols_new = st.rows + [r], st.cols + [c]
-            M_new = np.array([[self.value(st.modes, rr, st.comp, cc) for cc in cols_new]
-                              for rr in rows_new])
+            M_new = self._block(st.modes, rows_new, st.comp, cols_new)
             pm_new = PivotMatrix(M_new)
             if pm_new.rcond_estimate < RCOND_GUARD:
                 st.rejected.add((r, c))
@@ -687,11 +639,7 @@ class _CrossRun:
         for node in self.tree.leaves():
             st = self.states[node.index]
             m = node.modes[0]
-            n = self.shape[m]
-            U = np.empty((n, len(st.cols)))
-            for b, c in enumerate(st.cols):
-                for j in range(n):
-                    U[j, b] = self.value((m,), (j,), st.comp, c)
+            U = self._block((m,), [(j,) for j in range(self.shape[m])], st.comp, st.cols)
             if st.zero:
                 U = np.zeros_like(U)
             leaf_frames[node.index] = U
@@ -705,13 +653,9 @@ class _CrossRun:
                 ctx_modes, contexts = st.comp, st.cols
             B = np.empty((len(contexts), len(s1.rows), len(s2.rows)))
             for s, ctx in enumerate(contexts):
-                W = np.empty((len(s1.rows), len(s2.rows)))
-                for a1, r1 in enumerate(s1.rows):
-                    for a2, r2 in enumerate(s2.rows):
-                        other = self.merge_col(s1.comp, tuple(c2.modes), r2,
-                                               ctx_modes, ctx)
-                        W[a1, a2] = self.value(s1.modes, r1, s1.comp, other)
-                W = s1.pm.solve(W)
+                others = [self.merge_col(s1.comp, tuple(c2.modes), r2, ctx_modes, ctx)
+                          for r2 in s2.rows]
+                W = s1.pm.solve(self._block(s1.modes, s1.rows, s1.comp, others))
                 W = s2.pm.solve(W.T).T
                 B[s] = W
             if node.parent != -1 and self.states[node.index].zero:
@@ -721,20 +665,10 @@ class _CrossRun:
 
     # -- validation ---------------------------------------------------------------
 
-    def probe_indices(self) -> list:
-        out, seen = [], set()
-        for _ in range(self.probe_crosses):
-            center = self.random_tuple(range(self.d))
-            for idx in cross_indices(self.shape, center):
-                if idx not in seen:
-                    seen.add(idx)
-                    out.append(idx)
-        return out
-
     def validate(self, X: HTensor):
         from .htensor import ht_entries
 
-        probes = self.probe_indices()
+        probes = build_training_set(self.shape, self.probe_crosses, self.rng).indices
         exact = self.oracle.entries(probes)
         approx = ht_entries(X, np.array(probes))
         denom = np.linalg.norm(exact)
@@ -789,24 +723,17 @@ def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
         raise ValueError("tensor tolerance must be nonnegative")
     if len(oracle.shape) != tree.order:
         raise ValueError("oracle order must match the tree")
+    if tree.order < 2:
+        raise ValueError("cross approximation needs a tree of order at least 2")
     rng = np.random.default_rng() if rng is None else rng
-
-    if tree.order == 1:
-        vec = oracle.entries([(i,) for i in range(oracle.shape[0])])
-        X = HTensor(tree, oracle.shape, {tree.root: np.asarray(vec)[:, None]}, {})
-        diag = CrossDiagnostics(target=eps_ten, converged=True, sweeps=1,
-                                entries_evaluated=oracle.count)
-        diag.nodes.append(NodeDiag((0,), 1, [], [], 0.0))
-        return X, diag
-
     run = _CrossRun(oracle, tree, eps_ten, rng, rank_cap, probe_crosses, max_sweeps)
     return run.run()
 
 
-def lift_spatial(Y: HTensor, V: np.ndarray, mode: int | None = None) -> HTensor:
+def lift_spatial(Y: HTensor, V: np.ndarray) -> HTensor:
     """Replace the trailing-mode leaf frame U by V @ U (exact lift)."""
     V = np.asarray(V, dtype=float)
-    mode = Y.order - 1 if mode is None else mode
+    mode = Y.order - 1
     leaf = Y.tree.leaf_of_mode[mode]
     U = Y.leaf_frames[leaf]
     if U.shape[0] != V.shape[1]:

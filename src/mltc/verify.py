@@ -47,7 +47,7 @@ def suite_cross():
     sizes = (4, 4, 4, 4, 4, 5)
     X0 = random_htensor(tree, sizes, 3, rng)
     T0 = htensor.ht_full(X0)
-    oracle = cross.EntryOracle(sizes, lambda idx: T0[idx])
+    oracle = cross.EntryOracle(sizes, lambda idx: T0[tuple(idx.T)])
     source = cross.ColumnSource.from_entry_oracle(oracle)
     result = cross.approximate_tensor(source, tree, 1e-10,
                                       rng=np.random.default_rng(7))

@@ -135,7 +135,7 @@ def test_criterion_06_cross_exactness(rng):
     sizes = (5, 5, 5, 5, 5, 5)
     X0 = random_htensor(tree, sizes, 3, rng)
     T0 = ht_full(X0)
-    base = EntryOracle(sizes, lambda idx: T0[idx])
+    base = EntryOracle(sizes, lambda idx: T0[tuple(idx.T)])
     source = ColumnSource.from_entry_oracle(base)
     result = approximate_tensor(source, tree, 1e-10,
                                 rng=np.random.default_rng(3))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mltc import cli
+from mltc import cli, driver
 from mltc.cli import main
 from mltc.config import load_config
 from mltc.errors import BudgetError, ConfigError, EllipticityError
@@ -154,6 +154,34 @@ class TestRun:
         assert all(int(r["pde_solves"]) > 0 for r in levels)
         assert [r["eps_level"] for r in levels] == ["", ""]
         assert not (tmp_path / "out" / "errors.csv").exists()
+
+    def test_unconverged_level_is_reported(self, tmp_path, monkeypatch, capsys):
+        approximate = driver.approximate_tensor
+        calls = []
+
+        def level_one_unconverged(*args, **kwargs):
+            result = approximate(*args, **kwargs)
+            calls.append(result)
+            if len(calls) == 2:        # level 1 of the main build
+                result.cross_diag.converged = False
+                result.cross_diag.validation_residual = 0.75
+            return result
+
+        monkeypatch.setattr(driver, "approximate_tensor", level_one_unconverged)
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 0
+        warning = ("warning: level 1 did not converge: "
+                   "cross_residual 7.500e-01 > eps_target 2.500e-01")
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1 and warning in err
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert report.count("did not converge") == 1 and warning in report
+
+    def test_converged_run_warns_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 0
+        assert "did not converge" not in capsys.readouterr().err
+        assert "did not converge" not in (tmp_path / "out" / "report.txt").read_text()
 
     def test_threads_flag_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")

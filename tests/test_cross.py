@@ -1,42 +1,132 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mltc.cross import (ColumnSource, EntryOracle, EvalBudget, PivotMatrix,
                         approximate_tensor, build_training_set, cross_indices,
                         greedy_column_basis, hier_cross, lift_spatial,
                         reduce_oracle)
 from mltc.errors import BudgetError
-from mltc.htensor import build_tree, ht_entries, ht_entry, ht_full
+from mltc.htensor import build_tree, ht_entries, ht_full
 
 from conftest import random_htensor
 
 
 def dense_oracle(T, budget=None):
-    return EntryOracle(T.shape, lambda idx: T[idx], budget=budget)
+    return EntryOracle(T.shape, lambda idx: T[tuple(idx.T)], budget=budget)
+
+
+def rank_one(vs):
+    """The dense outer product of the vectors vs."""
+    T = np.ones(())
+    for v in vs:
+        T = np.multiply.outer(T, v)
+    return T
+
+
+@st.composite
+def index_batches(draw):
+    """A random shape and a few batches of in-range multi-indices, with repeats."""
+    d = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+    index = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    batches = draw(st.lists(st.lists(index, max_size=12), min_size=1, max_size=5))
+    return shape, batches
+
+
+@st.composite
+def low_rank_tensors(draw):
+    """Tree, dense values and rng of a random HT tensor of order 2-6 and ranks <= 3."""
+    d = draw(st.integers(2, 6))
+    tree = build_tree(d, draw(st.sampled_from(["balanced", "linear"])))
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = random_htensor(tree, sizes, draw(st.integers(1, 3)), rng)
+    return tree, ht_full(X), rng
 
 
 class TestEntryOracle:
     def test_cache_and_counter(self):
         calls = []
-        oracle = EntryOracle((3, 3), lambda idx: calls.append(idx) or 1.0)
-        assert oracle.entry((1, 2)) == 1.0
-        assert oracle.entry((1, 2)) == 1.0
-        assert oracle.count == 1 and len(calls) == 1
+
+        def fn(idx):
+            calls.append(idx.tolist())
+            return np.ones(len(idx))
+
+        oracle = EntryOracle((3, 3), fn)
+        assert oracle.entries([(1, 2)]).tolist() == [1.0]
+        assert oracle.entries(np.array([[1, 2]])).tolist() == [1.0]
+        assert oracle.count == 1 and calls == [[[1, 2]]]
         oracle.entries([(1, 2), (0, 0), (0, 0)])
-        assert oracle.count == 2
+        assert oracle.count == 2 and calls[-1] == [[0, 0]]
+        assert oracle.entries([]).shape == (0,)
 
     def test_out_of_range(self):
-        oracle = EntryOracle((2, 2), lambda idx: 0.0)
-        with pytest.raises(ValueError):
-            oracle.entry((2, 0))
+        oracle = EntryOracle((2, 2), lambda idx: np.zeros(len(idx)))
+        for bad in ([(2, 0)], [(0, -1)], [(0, 0, 0)], [0, 1]):
+            with pytest.raises(ValueError):
+                oracle.entries(bad)
+        assert oracle.count == 0
 
     def test_non_finite_rejected(self):
-        oracle = EntryOracle((2,), lambda idx: float("nan"))
+        oracle = EntryOracle((2,), lambda idx: np.array([1.0, np.nan])[idx[:, 0]])
         with pytest.raises(ArithmeticError):
-            oracle.entry((0,))
+            oracle.entries([(0,), (1,)])
+        assert oracle.count == 0
+
+    def test_budget_charged_per_batch_of_misses(self):
+        budget = EvalBudget(3)
+        oracle = dense_oracle(np.arange(6.0).reshape(2, 3), budget=budget)
+        oracle.entries([(0, 0), (0, 1), (0, 0)])
+        assert budget.used == 2
+        with pytest.raises(BudgetError):
+            oracle.entries([(0, 1), (1, 0), (1, 1)])
+        assert oracle.count == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(index_batches(), st.data())
+    def test_batches_match_dense_gather(self, case, data):
+        shape, batches = case
+        d = len(shape)
+        T = np.random.default_rng(sum(shape)).standard_normal(shape)
+        received = []
+
+        def fn(idx):
+            assert idx.shape == (len(idx), d)
+            received.extend(map(tuple, idx.tolist()))
+            return T[tuple(idx.T)]
+
+        budget = EvalBudget(None)
+        oracle = EntryOracle(shape, fn, budget=budget)
+        for batch in batches:
+            idx = np.array(batch, dtype=int).reshape(-1, d)
+            assert np.array_equal(oracle.entries(idx), T[tuple(idx.T)])
+        distinct = {idx for batch in batches for idx in batch}
+        assert oracle.count == len(distinct) == budget.used
+        assert len(received) == len(set(received)) and set(received) == distinct
+
+        # a bad index anywhere in a batch rejects the whole batch
+        mode = data.draw(st.integers(0, d - 1))
+        good = [0] * d
+        for bad in ([good, good[:mode] + [shape[mode]] + good[mode + 1:]],
+                    [good, good[:mode] + [-1] + good[mode + 1:]],
+                    [good + [0]] * 2, [good[:-1]] * 2, good):
+            with pytest.raises(ValueError):
+                oracle.entries(bad)
+        assert oracle.count == len(distinct) == budget.used
+
+        # a non-finite value among the misses is rejected and nothing is cached
+        missing = [idx for idx in np.ndindex(shape) if idx not in distinct]
+        if missing:
+            poisoned = T.copy()
+            poisoned[data.draw(st.sampled_from(missing))] = np.inf
+            fresh = EntryOracle(shape, lambda idx: poisoned[tuple(idx.T)])
+            with pytest.raises(ArithmeticError):
+                fresh.entries(missing)
+            assert fresh.count == 0
 
 
 class TestTrainingSet:
@@ -95,8 +185,7 @@ class TestReduceOracle:
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         V = np.eye(6)[:, [2]]
         red = reduce_oracle(src, V)
-        for j in range(4):
-            assert np.isclose(red.entry((j, 0)), T[j, 2])
+        assert np.allclose(red.entries([(j, 0) for j in range(4)]), T[:, 2])
 
     def test_rank_one_projection(self, rng):
         w = rng.standard_normal(5)
@@ -112,12 +201,20 @@ class TestReduceOracle:
         T = rng.standard_normal((4, 6))
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         red = reduce_oracle(src, np.eye(6)[:, :2])
-        red.entry((1, 1))
+        red.entries([(1, 1)])
         fibers = src.n_fetched
-        red.entry((1, 1))
-        red.entry((1, 0))            # same fiber, other basis vector
+        red.entries([(1, 1), (1, 0)])   # same fiber, other basis vector
         assert red.count == 2
         assert src.n_fetched == fibers
+
+    def test_entry_is_basis_dot_fiber(self, rng):
+        # each reduced entry is V[:, k] @ fiber, bitwise
+        T = rng.standard_normal((5, 9))
+        src = ColumnSource.from_entry_oracle(dense_oracle(T))
+        V = np.linalg.qr(rng.standard_normal((9, 3)))[0]
+        idx = [(j, k) for j in (4, 0, 2) for k in (2, 0)]
+        want = [float(V[:, k] @ T[j]) for j, k in idx]
+        assert reduce_oracle(src, V).entries(idx).tolist() == want
 
 
 class TestPivotMatrix:
@@ -137,23 +234,15 @@ class TestPivotMatrix:
 class TestHierCross:
     def test_exact_rank_one(self, rng):
         sizes = (4, 3, 5, 3)
-        vs = [rng.standard_normal(n) + 2.0 for n in sizes]
-
-        def f(idx):
-            out = 1.0
-            for v, i in zip(vs, idx):
-                out *= v[i]
-            return out
-
-        oracle = EntryOracle(sizes, f)
-        X, diag = hier_cross(oracle, build_tree(4, "balanced"), 1e-12,
+        T = rank_one([rng.standard_normal(n) + 2.0 for n in sizes])
+        X, diag = hier_cross(dense_oracle(T), build_tree(4, "balanced"), 1e-12,
                              rng=np.random.default_rng(1))
         assert set(X.ranks.values()) == {1}
-        worst = 0.0
-        for idx in itertools.product(*(range(n) for n in sizes)):
-            worst = max(worst, abs(ht_entry(X, idx) - f(idx)))
-        scale = max(abs(f(idx)) for idx in itertools.product(*(range(n) for n in sizes)))
-        assert worst / scale < 1e-10
+        assert np.abs(ht_full(X) - T).max() / np.abs(T).max() < 1e-10
+
+    def test_order_one_rejected(self):
+        with pytest.raises(ValueError):
+            hier_cross(dense_oracle(np.ones(3)), build_tree(1), 1e-8)
 
     def test_self_reproduction(self, rng):
         tree = build_tree(4, "balanced")
@@ -283,30 +372,33 @@ class TestLiftSpatial:
 class TestApproximateTensor:
     def test_rank_one_field(self, rng):
         sizes = (4, 4, 4, 9)
-        vs = [rng.standard_normal(n) + 2.0 for n in sizes]
-
-        def f(idx):
-            out = 1.0
-            for v, i in zip(vs, idx):
-                out *= v[i]
-            return out
-
-        base = EntryOracle(sizes, f)
+        T = rank_one([rng.standard_normal(n) + 2.0 for n in sizes])
+        base = dense_oracle(T)
         src = ColumnSource.from_entry_oracle(base)
         res = approximate_tensor(src, build_tree(4, "balanced"), 1e-10,
                                  rng=np.random.default_rng(5))
         assert res.step1_evals >= 1              # at least one full fiber
         assert base.count >= sizes[-1]           # that fiber has #J_d entries
         probes = np.column_stack([rng.integers(0, n, 500) for n in sizes])
-        exact = np.array([f(tuple(r)) for r in probes])
+        exact = T[tuple(probes.T)]
         err = np.abs(ht_entries(res.tensor, probes) - exact).max()
         assert err / np.abs(exact).max() < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(low_rank_tensors())
+    def test_exact_recovery_property(self, case):
+        tree, T0, rng = case
+        src = ColumnSource.from_entry_oracle(dense_oracle(T0))
+        res = approximate_tensor(src, tree, 1e-10, rng=rng)
+        probes = np.column_stack([rng.integers(0, n, 300) for n in T0.shape])
+        err = np.abs(ht_entries(res.tensor, probes) - T0[tuple(probes.T)]).max()
+        assert err <= 1e-8 * np.abs(T0).max()
 
     def test_single_collocation_point(self, rng):
         # one parametric point, large spatial mode: step counts are 1 and 1
         u = rng.standard_normal(2000)
         sizes = (1,) * 10 + (2000,)
-        base = EntryOracle(sizes, lambda idx: u[idx[-1]])
+        base = EntryOracle(sizes, lambda idx: u[idx[:, -1]])
         src = ColumnSource.from_entry_oracle(base)
         res = approximate_tensor(src, build_tree(11, "balanced"), 0.25,
                                  rng=np.random.default_rng(6))
