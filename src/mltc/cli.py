@@ -9,7 +9,9 @@ so far, or every level of the finished build when only the reference build
 fails.  `sweep` writes one errors.csv row per level, and on exit 3 or 4 the
 rows of the levels finished so far.  A level whose cross approximation ends
 unconverged is kept (exit 0), and `run` names it, with its validation
-residual and target, on stderr and in report.txt.
+residual and target, on stderr and in report.txt; a level of the reference
+build is named the same way, as a "reference level", by `run` and, on stderr,
+by `sweep`.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ def _level_table(diags: list[LevelDiagnostics], eps_level) -> list[str]:
     return lines
 
 
-def _unconverged(diags: list[LevelDiagnostics]) -> list[str]:
-    return [f"warning: level {d.level} did not converge: cross_residual "
+def _unconverged(diags: list[LevelDiagnostics], build: str = "") -> list[str]:
+    """One warning per unconverged level; `build` names a build other than the main one."""
+    prefix = f"{build} " if build else ""
+    return [f"warning: {prefix}level {d.level} did not converge: cross_residual "
             f"{d.cross_residual:.3e} > eps_target {d.eps_target:.3e}"
             for d in diags if not d.converged]
 
@@ -110,15 +114,16 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
     ]
 
 
-def _build_reference(cfg: ExperimentConfig, model, surrogate) -> MLSurrogate | None:
+def _build_reference(cfg: ExperimentConfig, model, surrogate
+                     ) -> tuple[MLSurrogate | None, list[LevelDiagnostics]]:
+    """The reference surrogate and the diagnostics of its own build, if it has one."""
     if cfg.ref_level is None:
-        return None
+        return None, []
     if cfg.ref_level == cfg.max_level:
-        return surrogate
-    ref, _ = run_ml(model, cfg.terms, cfg.ref_level, eps0=cfg.eps0,
-                    tree_shape=cfg.tree, seed=cfg.seed + 1, rank_cap=cfg.rank_cap,
-                    eval_budget=cfg.eval_budget)
-    return ref
+        return surrogate, []
+    return run_ml(model, cfg.terms, cfg.ref_level, eps0=cfg.eps0,
+                  tree_shape=cfg.tree, seed=cfg.seed + 1, rank_cap=cfg.rank_cap,
+                  eval_budget=cfg.eval_budget)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -131,13 +136,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         surrogate, diags = run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0,
                                   tree_shape=cfg.tree, seed=cfg.seed,
                                   rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
-        reference = _build_reference(cfg, model, surrogate)
+        reference, ref_diags = _build_reference(cfg, model, surrogate)
     except (BudgetError, EllipticityError) as err:
         # a failed reference build keeps the levels of the finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])
         _write_levels_csv(out_dir / "levels.csv", partial, [])
         return _abort(err)
-    warnings = _unconverged(diags)
+    warnings = _unconverged(diags) + _unconverged(ref_diags, "reference")
     for warning in warnings:
         print(warning, file=sys.stderr)
     metrics = error_metrics(surrogate, reference, samples=cfg.samples,
@@ -182,9 +187,11 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
     rows = []
     try:
-        reference, _ = run_ml(model, cfg.terms, ref_level, eps0=cfg.eps0,
-                              tree_shape=cfg.tree, seed=cfg.seed + 1,
-                              rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+        reference, ref_diags = run_ml(model, cfg.terms, ref_level, eps0=cfg.eps0,
+                                      tree_shape=cfg.tree, seed=cfg.seed + 1,
+                                      rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+        for warning in _unconverged(ref_diags, "reference"):
+            print(warning, file=sys.stderr)
         for L in levels:
             surrogate, _ = run_ml(model, cfg.terms, L, eps0=cfg.eps0,
                                   tree_shape=cfg.tree, seed=cfg.seed,

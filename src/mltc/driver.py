@@ -13,8 +13,10 @@ Each level's spatial frame is mapped to nodal values once, when the
 surrogate is built.  A query contracts the parametric modes to per-level
 (M, r_l) coefficients and sums the nodal frames times those coefficients over
 the levels with one prolongation per level; psi and the expectation need only
-r_l-vectors.  Beside its (M, n_L) output a batch holds just the (M, sum r_l)
-coefficients, so no batch is split into chunks.
+r_l-vectors.  Each G_l C_l^T is added into the sum in place, a block of rows
+at a time, so beside its (M, n_L) output a batch holds the previous level's
+sum while it is prolongated, one block of rows and the (M, sum r_l)
+coefficients; no batch is split into chunks.
 """
 
 from __future__ import annotations
@@ -32,6 +34,15 @@ from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at)
 from .fields import CoefficientModel
 from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
+
+
+# Rows of G_l C_l^T added into the nodal sum at a time, so that the product's
+# temporary holds _ROW_BLOCK x M values instead of a second (n_L, M) array.  A
+# power of two: every block then starts at a multiple of the row unrolling of
+# the BLAS kernels, each row goes through the same kernel as in one whole
+# product, and the sum is bitwise that of one product.  An odd block, such as
+# 7 rows, changes the last bits of the M = 1 (matrix-vector) case.
+_ROW_BLOCK = 4096
 
 
 def degree_schedule(L: int) -> list[int]:
@@ -150,13 +161,17 @@ class MLSurrogate:
     def _nodal(self, coeffs: list[np.ndarray]) -> np.ndarray:
         """Top-level nodal values, (M, n_L), from per-level coefficients.
 
-        Horner sum over levels: total <- P_l total + G_l C_l^T.
+        Horner sum over levels: total <- P_l total + G_l C_l^T, with
+        G_l C_l^T added in blocks of _ROW_BLOCK rows.
         """
         frames = self._nodal_frames
         total = frames[0] @ coeffs[0].T
         for rec, G, C in zip(self.records[1:], frames[1:], coeffs[1:]):
             total = prolongation_matrix(rec.level) @ total
-            total += G @ C.T
+            for i in range(0, G.shape[0], _ROW_BLOCK):
+                # through a view: `total[i:j] += ...` would also assign it back
+                rows = total[i:i + _ROW_BLOCK]
+                rows += G[i:i + _ROW_BLOCK] @ C.T
         return total.T
 
     def _psi(self, coeffs: list[np.ndarray]) -> np.ndarray:

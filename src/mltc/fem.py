@@ -20,7 +20,16 @@ the coefficient at the quadrature points are cached per grid as well.
 The H1 coordinate map is the sparse Cholesky factor R of the unit-coefficient
 stiffness: ||R c||_2 equals the H1_0 seminorm of the finite element function
 with coefficients c, so tensors can store R-coordinates and read off energy
-norms as Euclidean norms.
+norms as Euclidean norms.  A frame keeps R alone.  The SuperLU factor, its
+CSR copy and R's CSR transpose exist only while the frame is built, each
+freed as soon as the next step no longer needs it; keeping the transpose and
+a live factor as well doubles the peak memory of a frame (at level 7, 1.5 GB
+instead of 0.74 GB).  Two rules keep R, psi_vec and every coordinate on one
+floating-point path.  R is the product diags(1/sqrt(d)) @ U, not U with its
+rows scaled in place: the product orders the column indices within each row
+differently, and that order is the summation order of to_h1.  psi_vec is
+solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
+another path that differs by up to 2.5e-16 relative.
 """
 
 from __future__ import annotations
@@ -302,6 +311,12 @@ class H1Frame:
     stiffness A1 (identity boundary rows) and the fill-reducing permutation p.
     For zero-boundary coefficient vectors c, ||R c[p]|| equals the H1_0
     seminorm of the represented function.
+
+    The frame keeps R, p, the mass vector and psi_vec, nothing of the
+    factorization: to_h1 multiplies by R and from_h1 solves with it, and
+    neither needs R^T.  psi_vec alone does, once, so the CSR transpose is
+    built as a temporary argument of that solve (solving on the CSC view R.T
+    would change psi_vec's last bits; see the module docstring).
     """
 
     def __init__(self, level: int):
@@ -312,15 +327,18 @@ class H1Frame:
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise ArithmeticError("symmetric factorization pivoted unexpectedly")
         self.perm = np.argsort(lu.perm_c)
-        U = lu.U.tocsr()
+        U = lu.U
+        del lu, A1          # free the factor before the CSR copies are made
+        U = U.tocsr()
         d = U.diagonal()
         if np.any(d <= 0.0):
             raise ArithmeticError("stiffness factorization is not positive definite")
         self.R = (sp.diags(1.0 / np.sqrt(d)) @ U).tocsr()
-        self.Rt = self.R.T.tocsr()
+        del U
         self.mass = mass_vector(level)
         # psi in H1 coordinates: psi(c) = m . c = (R^-T m[p]) . (R c[p])
-        self.psi_vec = spsolve_triangular(self.Rt, self.mass[self.perm], lower=True)
+        self.psi_vec = spsolve_triangular(self.R.T.tocsr(), self.mass[self.perm],
+                                          lower=True)
 
     def to_h1(self, c: np.ndarray) -> np.ndarray:
         return self.R @ np.asarray(c)[self.perm]

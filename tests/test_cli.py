@@ -29,6 +29,23 @@ def write_config(path, **overrides):
     return path
 
 
+def unconverged_at(call):
+    """driver.approximate_tensor, with the result of its `call`-th call (from 1)
+    marked unconverged at a validation residual of 0.75."""
+    approximate = driver.approximate_tensor
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        result = approximate(*args, **kwargs)
+        calls.append(result)
+        if len(calls) == call:
+            result.cross_diag.converged = False
+            result.cross_diag.validation_residual = 0.75
+        return result
+
+    return wrapped
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -156,18 +173,8 @@ class TestRun:
         assert not (tmp_path / "out" / "errors.csv").exists()
 
     def test_unconverged_level_is_reported(self, tmp_path, monkeypatch, capsys):
-        approximate = driver.approximate_tensor
-        calls = []
-
-        def level_one_unconverged(*args, **kwargs):
-            result = approximate(*args, **kwargs)
-            calls.append(result)
-            if len(calls) == 2:        # level 1 of the main build
-                result.cross_diag.converged = False
-                result.cross_diag.validation_residual = 0.75
-            return result
-
-        monkeypatch.setattr(driver, "approximate_tensor", level_one_unconverged)
+        # approximate_tensor call 2 is level 1 of the main build
+        monkeypatch.setattr(driver, "approximate_tensor", unconverged_at(2))
         path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
         assert main(["run", str(path)]) == 0
         warning = ("warning: level 1 did not converge: "
@@ -176,6 +183,21 @@ class TestRun:
         assert err.count("did not converge") == 1 and warning in err
         report = (tmp_path / "out" / "report.txt").read_text()
         assert report.count("did not converge") == 1 and warning in report
+
+    def test_unconverged_reference_level_is_reported(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # calls: levels 0-1 of the main build (max_level 1), then levels 0-2 of
+        # the reference build (ref_level 2); call 4 is the reference's level 1
+        monkeypatch.setattr(driver, "approximate_tensor", unconverged_at(4))
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 0
+        warning = ("warning: reference level 1 did not converge: "
+                   "cross_residual 7.500e-01 > eps_target 1.250e-01")
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1 and warning in err
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert report.count("did not converge") == 1 and warning in report
+        assert (tmp_path / "out" / "errors.csv").exists()
 
     def test_converged_run_warns_nothing(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
@@ -245,6 +267,18 @@ class TestSweep:
         b = list(csv.DictReader(open(out_sweep / "errors.csv")))[0]
         assert a["eps_ml_u"] == b["eps_ml_u"]
         assert a["eps_e_u"] == b["eps_e_u"]
+
+    def test_unconverged_reference_is_reported(self, tmp_path, monkeypatch, capsys):
+        # calls: the reference build's levels 0-2, then the L=1 build's 0-1
+        monkeypatch.setattr(driver, "approximate_tensor", unconverged_at(2))
+        cfg = write_config(tmp_path / "c.ini", max_level="1", ref_level="2",
+                           out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1
+        assert ("warning: reference level 1 did not converge: "
+                "cross_residual 7.500e-01 > eps_target 1.250e-01") in err
+        assert len(read_rows(tmp_path / "out" / "errors.csv")) == 1
 
     @pytest.mark.parametrize("error, code", [(BudgetError, 3), (EllipticityError, 4)])
     def test_abort_keeps_finished_rows(self, tmp_path, monkeypatch, error, code):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,16 @@ def h1_route(surrogate, comps):
     return nodal, psi
 
 
+def whole_product_nodal(surrogate, coeffs):
+    """The Horner sum of MLSurrogate._nodal with each G_l C_l^T formed whole."""
+    frames = surrogate._nodal_frames
+    total = frames[0] @ coeffs[0].T
+    for rec, G, C in zip(surrogate.records[1:], frames[1:], coeffs[1:]):
+        total = prolongation_matrix(rec.level) @ total
+        total += G @ C.T
+    return total.T
+
+
 class TestNodalFrames:
     @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
     def test_matches_h1_coordinate_route(self, build, request, rng):
@@ -288,6 +299,35 @@ class TestNodalFrames:
         e_nodal, e_psi = h1_route(surrogate, mean)
         assert_close(surrogate.expectation(), e_nodal[0])
         assert_close(surrogate.expectation_psi(), e_psi[0])
+
+    @pytest.mark.parametrize("M", [1, 7, 50])
+    def test_row_blocks_equal_whole_product(self, tight_n2_l2, monkeypatch, M):
+        surrogate, _ = tight_n2_l2
+        # 289 top rows = 36 blocks of 8 and one row.  The block must be a
+        # multiple of the row unrolling of BLAS's matrix-vector kernel: with
+        # 7-row blocks, the M = 1 products (such as the expectation) can differ
+        # in the last bits from the whole product
+        monkeypatch.setattr(driver, "_ROW_BLOCK", 8)
+        Y = np.random.default_rng(M).uniform(-1, 1, (M, 2))
+        want = whole_product_nodal(surrogate, surrogate.coefficients(Y))
+        assert np.array_equal(surrogate.evaluate_batch(Y), want)
+        assert np.array_equal(surrogate.expectation(),
+                              whole_product_nodal(surrogate, surrogate._mean_coeffs)[0])
+
+    def test_batch_holds_no_second_output(self, tight_n2_l2, monkeypatch):
+        # beside its output, a batch holds the previous level's sum during the
+        # prolongation (81/289 of it here) and one block of rows
+        surrogate, _ = tight_n2_l2
+        monkeypatch.setattr(driver, "_ROW_BLOCK", 8)
+        Y = np.random.default_rng(3).uniform(-1, 1, (50, 2))
+        surrogate.evaluate_batch(Y)
+        tracemalloc.start()
+        try:
+            U = surrogate.evaluate_batch(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * U.nbytes
 
     def test_queries_never_build_h1_coordinates(self, tight_n2_l2, monkeypatch, rng):
         # psi_batch and evaluate_batch hold (M, r_l) coefficients, not (M, n_l)

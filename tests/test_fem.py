@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import spsolve_triangular
 
 from mltc import fem
 from mltc.driver import prolongate_to
@@ -147,6 +148,39 @@ class TestAssemble:
         # Cholesky-style factorization must succeed at every tested level
         for level in range(5):
             h1_frame(level)        # raises if not SPD
+
+
+def reference_frame(level):
+    """(perm, R, psi_vec) with every temporary kept alive: the factor's CSR
+    copy U, R = diags(1/sqrt(d)) @ U, and psi_vec solved on R's CSR transpose."""
+    lu = fem._factor_spd(assemble(build_grid(level), ONES))
+    perm = np.argsort(lu.perm_c)
+    U = lu.U.tocsr()
+    R = (sp.diags(1.0 / np.sqrt(U.diagonal())) @ U).tocsr()
+    psi_vec = spsolve_triangular(R.T.tocsr(), mass_vector(level)[perm], lower=True)
+    return perm, R, psi_vec
+
+
+class TestH1Frame:
+    @pytest.mark.parametrize("level", range(6))
+    def test_bitwise_equal_to_reference(self, level, rng):
+        perm, R, psi_vec = reference_frame(level)
+        frame = h1_frame(level)
+        assert_bitwise_equal(frame.R, R)
+        assert np.array_equal(frame.perm, perm)
+        assert np.array_equal(frame.psi_vec, psi_vec)
+        n = build_grid(level).n
+        c = rng.standard_normal(n)
+        assert np.array_equal(frame.to_h1(c), R @ c[perm])
+        for z in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = spsolve_triangular(R, z.reshape(n, -1), lower=False)
+            expected = np.empty_like(x)
+            expected[perm, :] = x
+            assert np.array_equal(frame.from_h1(z), expected.reshape(z.shape))
+
+    def test_keeps_no_transpose(self):
+        # the CSR transpose of R is a temporary of the psi_vec solve
+        assert not hasattr(h1_frame(2), "Rt")
 
 
 class TestSolve:
