@@ -17,9 +17,7 @@ from .fem import (GridLevel, H1Frame, assemble, build_grid, delta_nodal,
                   prolongation_matrix, seminorm_quadrature, solve_at)
 from .fields import (CoefficientModel, eigenvalue, ellipticity_bounds, evaluate,
                      make_model)
-from .htensor import (DimensionTree, HTensor, build_tree, contract_modes,
-                      ht_coefficients, ht_contract, ht_entries, ht_entry,
-                      ht_from_dense, ht_full, ht_norm, load_htensor, save_htensor,
-                      storage_and_ranks)
+from .htensor import (DimensionTree, HTensor, build_tree, ht_coefficients,
+                      ht_entries, ht_full, storage_and_ranks)
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ rows of the levels finished so far.  A level whose cross approximation ends
 unconverged is kept (exit 0), and `run` names it, with its validation
 residual and target, on stderr and in report.txt; a level of the reference
 build is named the same way, as a "reference level", by `run` and, on stderr,
-by `sweep`.
+by `sweep`, which names the levels of each swept build on stderr as well
+("L=2 level 1").
 """
 
 from __future__ import annotations
@@ -114,6 +115,13 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
     ]
 
 
+def _build(cfg: ExperimentConfig, model, level: int, seed: int
+           ) -> tuple[MLSurrogate, list[LevelDiagnostics]]:
+    """run_ml up to `level` with the config's build settings."""
+    return run_ml(model, cfg.terms, level, eps0=cfg.eps0, tree_shape=cfg.tree,
+                  seed=seed, rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+
+
 def _build_reference(cfg: ExperimentConfig, model, surrogate
                      ) -> tuple[MLSurrogate | None, list[LevelDiagnostics]]:
     """The reference surrogate and the diagnostics of its own build, if it has one."""
@@ -121,9 +129,7 @@ def _build_reference(cfg: ExperimentConfig, model, surrogate
         return None, []
     if cfg.ref_level == cfg.max_level:
         return surrogate, []
-    return run_ml(model, cfg.terms, cfg.ref_level, eps0=cfg.eps0,
-                  tree_shape=cfg.tree, seed=cfg.seed + 1, rank_cap=cfg.rank_cap,
-                  eval_budget=cfg.eval_budget)
+    return _build(cfg, model, cfg.ref_level, cfg.seed + 1)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -133,9 +139,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     diags = []
     try:
-        surrogate, diags = run_ml(model, cfg.terms, cfg.max_level, eps0=cfg.eps0,
-                                  tree_shape=cfg.tree, seed=cfg.seed,
-                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+        surrogate, diags = _build(cfg, model, cfg.max_level, cfg.seed)
         reference, ref_diags = _build_reference(cfg, model, surrogate)
     except (BudgetError, EllipticityError) as err:
         # a failed reference build keeps the levels of the finished main build
@@ -187,15 +191,13 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
     rows = []
     try:
-        reference, ref_diags = run_ml(model, cfg.terms, ref_level, eps0=cfg.eps0,
-                                      tree_shape=cfg.tree, seed=cfg.seed + 1,
-                                      rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+        reference, ref_diags = _build(cfg, model, ref_level, cfg.seed + 1)
         for warning in _unconverged(ref_diags, "reference"):
             print(warning, file=sys.stderr)
         for L in levels:
-            surrogate, _ = run_ml(model, cfg.terms, L, eps0=cfg.eps0,
-                                  tree_shape=cfg.tree, seed=cfg.seed,
-                                  rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
+            surrogate, diags = _build(cfg, model, L, cfg.seed)
+            for warning in _unconverged(diags, f"L={L}"):
+                print(warning, file=sys.stderr)
             metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                                     seed=cfg.seed, per_level=False)
             rows.append((L, metrics))

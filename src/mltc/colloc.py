@@ -36,20 +36,9 @@ class CollocationGrid:
     def __len__(self):
         return self.p + 1
 
-    def lagrange_weights(self, y: float) -> np.ndarray:
-        """l_k(y) for all k via the barycentric second form."""
-        y = float(y)
-        diff = y - self.nodes
-        hit = np.flatnonzero(np.abs(diff) < 1e-15)
-        if hit.size:
-            w = np.zeros(self.p + 1)
-            w[hit[0]] = 1.0
-            return w
-        kernel = self._bary / diff
-        return kernel / kernel.sum()
-
     def lagrange_weights_many(self, ys) -> np.ndarray:
-        """Weights for a batch of points, shape (len(ys), p+1)."""
+        """l_k(y) for all k at a batch of points via the barycentric second
+        form, shape (len(ys), p+1)."""
         ys = np.asarray(ys, dtype=float)
         out = np.empty((ys.size, self.p + 1))
         diff = ys[:, None] - self.nodes[None, :]

@@ -6,24 +6,21 @@ every internal node holds a small 3-way transfer tensor that expresses its
 (implicit) frame in terms of its children's frames.  Storage is
 sum(n_i * r_i) over leaves plus sum(r_t * r_t1 * r_t2) over internal nodes.
 
-Entries and mode contractions share one batched contraction,
-ht_coefficients: every contracted mode brings one already-reduced leaf-frame
-row per sample, a single upward pass reduces the subtrees to (M, r_t) rows,
-and at most one free mode is recovered by walking the root-to-leaf path down
-to its (M, r_free) coefficients.  ht_contract multiplies those once by the
-free leaf's frame; ht_entries gathers leaf rows for it, and contract_modes
-multiplies weight vectors into them.  The surrogate passes per-sample
-interpolation weights to ht_coefficients and keeps the coefficients, since
-it maps its spatial frames to nodal values once per build.  Full
-reconstruction (ht_full), Frobenius norms (ht_norm, a Gram recursion) and a
-truncated-SVD constructor from dense input complete the module.  Modes are
-0-based throughout; row order of any frame is lexicographic in the node's
-sorted mode list.
+The tensors are built by cross approximation (cross.py) and read in two
+ways, both through one batched contraction, ht_coefficients: every
+contracted mode brings one already-reduced leaf-frame row per sample, a
+single upward pass reduces the subtrees to (M, r_t) rows, and at most one
+free mode is recovered by walking the root-to-leaf path down to its
+(M, r_free) coefficients.  ht_entries gathers leaf rows at multi-indices and
+keeps the root values (the entries the cross approximation validates); the
+surrogate passes per-sample interpolation or quadrature weights and keeps the
+coefficients of its spatial frame.  ht_full densifies a small tensor, the
+reference the tests compare against.  Modes are 0-based throughout; row
+order of any frame is lexicographic in the node's sorted mode list.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -231,37 +228,17 @@ def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.
     return C
 
 
-def ht_contract(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
-    """Contract every mode but `free_mode` with one leaf-frame row per sample.
-
-    rows is as for ht_coefficients.  Without a free mode the result is the
-    (M,) vector of root values; with one, the (M, r_free) coefficients times
-    the free leaf frame give the (M, n_free) result.
-    """
-    C = ht_coefficients(X, rows, free_mode)
-    if free_mode is None:
-        return C[:, 0]
-    return C @ X.leaf_frames[X.tree.leaf_of_mode[free_mode]].T
-
-
 def ht_entries(X: HTensor, indices) -> np.ndarray:
-    """Entries at an (m, d) integer array of multi-indices (or one index)."""
+    """Entries at an (m, d) integer array of multi-indices."""
     indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim == 1:
-        indices = indices[None, :]
-    if indices.shape[1] != X.order:
-        raise ValueError("index rows must have length equal to the tensor order")
+    if indices.ndim != 2 or indices.shape[1] != X.order:
+        raise ValueError(f"indices must be an (m, {X.order}) array of multi-indices")
     for i, n in enumerate(X.mode_sizes):
         col = indices[:, i]
         if col.min(initial=0) < 0 or col.max(initial=0) >= n:
             raise ValueError(f"index out of range for mode {i}")
     rows = {m: X.leaf_frames[leaf][indices[:, m]] for m, leaf in X.tree.leaf_of_mode.items()}
-    return ht_contract(X, rows)
-
-
-def ht_entry(X: HTensor, idx) -> float:
-    """Entry of the represented tensor at one multi-index."""
-    return float(ht_entries(X, idx)[0])
+    return ht_coefficients(X, rows)[:, 0]
 
 
 def ht_full(X: HTensor, size_cap: int = FULL_SIZE_CAP) -> np.ndarray:
@@ -285,116 +262,6 @@ def ht_full(X: HTensor, size_cap: int = FULL_SIZE_CAP) -> np.ndarray:
     shape = tuple(X.mode_sizes[m] for m in mode_order)
     T = F[:, 0].reshape(shape)
     return np.transpose(T, np.argsort(mode_order))
-
-
-def _matricize(T: np.ndarray, row_modes) -> np.ndarray:
-    d = T.ndim
-    row_modes = list(row_modes)
-    col_modes = [m for m in range(d) if m not in row_modes]
-    P = np.transpose(T, row_modes + col_modes)
-    rows = math.prod(T.shape[m] for m in row_modes) if row_modes else 1
-    return P.reshape(rows, -1)
-
-
-def _truncated_basis(M: np.ndarray, abs_tol: float) -> np.ndarray:
-    """Left singular vectors keeping the Frobenius tail below abs_tol."""
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        col = np.zeros((M.shape[0], 1))
-        return col
-    tail = np.sqrt(np.maximum(np.cumsum(s[::-1] ** 2)[::-1], 0.0))
-    # tail[r] = ||sigma_{r+1:}||; keep the smallest r with tail <= abs_tol
-    keep = s.size
-    for r in range(s.size):
-        t = tail[r + 1] if r + 1 < s.size else 0.0
-        if t <= abs_tol:
-            keep = r + 1
-            break
-    return U[:, :keep]
-
-
-def ht_from_dense(T: np.ndarray, tree: DimensionTree, tol: float = 1e-12,
-                  size_cap: int = FULL_SIZE_CAP) -> HTensor:
-    """Compress a dense tensor by truncated SVD of every node matricization.
-
-    The per-node Frobenius tail is kept below tol * ||T||, which bounds the
-    total reconstruction error by sqrt(2d-3) * tol * ||T||.
-    """
-    T = np.asarray(T, dtype=float)
-    if T.ndim != tree.order:
-        raise ValueError("tensor order must match the tree")
-    if T.size > size_cap:
-        raise SizeCapError(f"dense input has {T.size} entries, cap is {size_cap}")
-    abs_tol = tol * np.linalg.norm(T.ravel())
-
-    frames = {}   # node index -> orthonormal basis of the node matricization's range
-    for node in tree.nodes:
-        if node.parent == -1:
-            continue
-        frames[node.index] = _truncated_basis(_matricize(T, node.modes), abs_tol)
-
-    leaf_frames = {n.index: frames[n.index] for n in tree.leaves()}
-    transfers = {}
-    for node in tree.internal_nodes():
-        c1, c2 = node.children
-        m1, m2 = tree.nodes[c1].modes, tree.nodes[c2].modes
-        rows1 = math.prod(T.shape[m] for m in m1)
-        U1, U2 = frames[c1], frames[c2]
-        if node.parent == -1:
-            # root: project the whole tensor onto the children frames
-            M = np.transpose(T, list(m1) + list(m2)).reshape(rows1, -1)
-            W = U1.T @ M @ U2
-            transfers[node.index] = W[None, :, :]
-        else:
-            Ut = frames[node.index]
-            r = Ut.shape[1]
-            # rows of Ut follow sorted(node.modes); permute to (m1, m2) order
-            sizes = [T.shape[m] for m in node.modes]
-            perm = [node.modes.index(m) for m in list(m1) + list(m2)]
-            cols = Ut.T.reshape([r] + sizes)
-            cols = np.transpose(cols, [0] + [1 + p for p in perm])
-            Z = cols.reshape(r, rows1, -1)
-            transfers[node.index] = np.einsum("ia,sij,jb->sab", U1, Z, U2)
-    return HTensor(tree, T.shape, leaf_frames, transfers)
-
-
-def ht_norm(X: HTensor) -> float:
-    """Frobenius norm of the represented tensor via Gram recursion."""
-    def gram(node_index):
-        node = X.tree.nodes[node_index]
-        if node.is_leaf:
-            U = X.leaf_frames[node_index]
-            return U.T @ U
-        G1 = gram(node.children[0])
-        G2 = gram(node.children[1])
-        B = X.transfers[node_index]
-        return np.einsum("sab,tcd,ac,bd->st", B, B, G1, G2, optimize=True)
-
-    g = gram(X.tree.root)[0, 0]
-    return math.sqrt(max(g, 0.0))
-
-
-def contract_modes(X: HTensor, weights: dict):
-    """Contract the tensor with one weight vector per designated mode.
-
-    With every mode contracted the scalar value is returned; with exactly one
-    mode left free, a dense vector over that mode.
-    """
-    weights = {int(m): np.asarray(w, dtype=float) for m, w in weights.items()}
-    for m, w in weights.items():
-        if not 0 <= m < X.order:
-            raise ValueError(f"mode {m} out of range")
-        if w.shape != (X.mode_sizes[m],):
-            raise ValueError(f"weight vector for mode {m} has length {w.shape[0]}, "
-                             f"expected {X.mode_sizes[m]}")
-    free = [m for m in range(X.order) if m not in weights]
-    if len(free) > 1:
-        raise ValueError(f"at most one mode may stay free, got {free}")
-    rows = {m: (w @ X.leaf_frames[X.tree.leaf_of_mode[m]])[None, :]
-            for m, w in weights.items()}
-    if not free:
-        return float(ht_contract(X, rows)[0])
-    return ht_contract(X, rows, free[0])[0]
 
 
 @dataclass(frozen=True)
@@ -435,40 +302,3 @@ def storage_and_ranks(X: HTensor) -> StorageReport:
         if hi - lo <= 1e-10:
             break
     return StorageReport(int(storage), int(r_max), 0.5 * (lo + hi))
-
-
-def save_htensor(X: HTensor, path) -> None:
-    """Serialize to .npz (bit-exact round trip)."""
-    meta = {
-        "order": X.tree.order,
-        "shape": X.tree.shape,
-        "mode_sizes": list(X.mode_sizes),
-        "nodes": [
-            {"index": n.index, "modes": list(n.modes), "parent": n.parent,
-             "children": list(n.children)}
-            for n in X.tree.nodes
-        ],
-    }
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for idx, U in X.leaf_frames.items():
-        arrays[f"U{idx}"] = U
-    for idx, B in X.transfers.items():
-        arrays[f"B{idx}"] = B
-    if hasattr(path, "write"):
-        np.savez(path, **arrays)
-    else:
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-
-
-def load_htensor(path) -> HTensor:
-    if hasattr(path, "read"):
-        path.seek(0)
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        nodes = [TreeNode(n["index"], tuple(n["modes"]), n["parent"], tuple(n["children"]))
-                 for n in meta["nodes"]]
-        tree = DimensionTree(meta["order"], meta["shape"], nodes)
-        leaf_frames = {n.index: data[f"U{n.index}"] for n in tree.leaves()}
-        transfers = {n.index: data[f"B{n.index}"] for n in tree.internal_nodes()}
-    return HTensor(tree, meta["mode_sizes"], leaf_frames, transfers)

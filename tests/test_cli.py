@@ -280,6 +280,18 @@ class TestSweep:
                 "cross_residual 7.500e-01 > eps_target 1.250e-01") in err
         assert len(read_rows(tmp_path / "out" / "errors.csv")) == 1
 
+    def test_unconverged_swept_level_is_reported(self, tmp_path, monkeypatch, capsys):
+        # calls: the reference build's levels 0-2, then the L=1 build's 0-1
+        monkeypatch.setattr(driver, "approximate_tensor", unconverged_at(5))
+        cfg = write_config(tmp_path / "c.ini", max_level="1", ref_level="2",
+                           out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("did not converge") == 1
+        assert ("warning: L=1 level 1 did not converge: "
+                "cross_residual 7.500e-01 > eps_target 2.500e-01") in err
+        assert len(read_rows(tmp_path / "out" / "errors.csv")) == 1
+
     @pytest.mark.parametrize("error, code", [(BudgetError, 3), (EllipticityError, 4)])
     def test_abort_keeps_finished_rows(self, tmp_path, monkeypatch, error, code):
         # calls: the reference (L=3), L=1, then L=2 fails

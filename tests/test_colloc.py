@@ -34,16 +34,15 @@ class TestNodes:
 class TestLagrangeWeights:
     def test_cardinality(self):
         grid = CollocationGrid(4)
-        for j, node in enumerate(grid.nodes):
-            assert np.allclose(grid.lagrange_weights(node), np.eye(5)[j])
+        assert np.allclose(grid.lagrange_weights_many(grid.nodes), np.eye(5))
 
     def test_midpoint_degree_one(self):
-        assert np.allclose(CollocationGrid(1).lagrange_weights(0.0), [0.5, 0.5])
+        assert np.allclose(CollocationGrid(1).lagrange_weights_many([0.0]), [[0.5, 0.5]])
 
     def test_partition_of_unity(self, rng):
         grid = CollocationGrid(6)
-        for y in rng.uniform(-1, 1, 25):
-            assert abs(grid.lagrange_weights(y).sum() - 1.0) < 1e-12
+        W = grid.lagrange_weights_many(rng.uniform(-1, 1, 25))
+        assert np.all(abs(W.sum(axis=1) - 1.0) < 1e-12)
 
     def test_polynomial_exactness(self, rng):
         p = 5
@@ -51,15 +50,8 @@ class TestLagrangeWeights:
         coeffs = rng.standard_normal(p + 1)
         f = lambda x: np.polyval(coeffs, x)
         vals = f(grid.nodes)
-        for y in np.linspace(-1, 1, 11):
-            assert abs(grid.lagrange_weights(y) @ vals - f(y)) < 1e-11
-
-    def test_batch_matches_scalar(self, rng):
-        grid = CollocationGrid(3)
-        ys = np.append(rng.uniform(-1, 1, 10), grid.nodes[1])
-        W = grid.lagrange_weights_many(ys)
-        for i, y in enumerate(ys):
-            assert np.allclose(W[i], grid.lagrange_weights(y))
+        ys = np.linspace(-1, 1, 11)
+        assert np.all(abs(grid.lagrange_weights_many(ys) @ vals - f(ys)) < 1e-11)
 
 
 class TestQuadrature:

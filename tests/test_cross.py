@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mltc import htensor
 from mltc.cross import (ColumnSource, EntryOracle, EvalBudget, PivotMatrix,
                         approximate_tensor, build_training_set, cross_indices,
                         greedy_column_basis, hier_cross, lift_spatial,
@@ -239,6 +240,24 @@ class TestHierCross:
                              rng=np.random.default_rng(1))
         assert set(X.ranks.values()) == {1}
         assert np.abs(ht_full(X) - T).max() / np.abs(T).max() < 1e-10
+
+    def test_validation_calls_ht_entries_once_per_sweep(self, monkeypatch):
+        # validation looks ht_entries up in mltc.htensor at call time, so a
+        # wrapper installed there (as the benchmark's span tracer does) sees
+        # every call; this full-rank tensor fails its first validation
+        calls = []
+        entries = htensor.ht_entries
+
+        def counting(X, indices):
+            calls.append(len(indices))
+            return entries(X, indices)
+
+        monkeypatch.setattr(htensor, "ht_entries", counting)
+        T = np.random.default_rng(0).standard_normal((4, 4, 4, 4))
+        _, diag = hier_cross(dense_oracle(T), build_tree(4, "balanced"), 0.1,
+                             rng=np.random.default_rng(0), max_sweeps=3)
+        assert diag.sweeps > 1
+        assert len(calls) == diag.sweeps
 
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):

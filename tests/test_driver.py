@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mltc import driver
 from mltc.colloc import CollocationGrid
@@ -16,7 +18,7 @@ from mltc.errors import EllipticityError
 from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame,
                       prolongation_matrix, solve_at)
 from mltc.fields import CoefficientModel, make_model
-from mltc.htensor import ht_contract
+from mltc.htensor import ht_coefficients, ht_entries
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXP2 = make_model("affine", "exponential", 2)
@@ -75,7 +77,6 @@ class TestRunML:
         rec = surrogate.records[0]
         y0 = rec.grid.nodes[[0, 0]]
         from mltc.fem import delta_vector
-        from mltc.htensor import ht_entries
         z = delta_vector(y0, 0, EXP2)
         idx = np.zeros((z.size, 3), dtype=int)
         idx[:, 2] = np.arange(z.size)
@@ -132,16 +133,15 @@ class TestSurrogate:
             assert np.allclose(surrogate.evaluate(y), u_det, atol=1e-12)
 
     def test_collocation_fiber_reproduction(self, tight_n2_l2):
-        # contracting a level tensor with unit weight vectors at a collocation
-        # index reproduces that point's exact difference within the level's
-        # accuracy (exact here because the run is tight)
+        # the spatial fiber of a level tensor at a collocation index reproduces
+        # that point's exact difference within the level's accuracy (exact here
+        # because the run is tight)
         surrogate, diags = tight_n2_l2
-        from mltc.fem import delta_vector
-        from mltc.htensor import contract_modes
         for rec, diag in zip(surrogate.records, diags):
             k = (0,) * 2
-            w = {m: np.eye(len(rec.grid))[k[m]] for m in range(2)}
-            fiber = contract_modes(rec.tensor, w)
+            n = rec.tensor.mode_sizes[2]
+            idx = np.column_stack([np.full((n, 2), k), np.arange(n)])
+            fiber = ht_entries(rec.tensor, idx)
             exact = delta_vector(rec.grid.nodes[list(k)], rec.level,
                                  surrogate.model)
             rel = np.linalg.norm(fiber - exact) / np.linalg.norm(exact)
@@ -154,8 +154,7 @@ class TestSurrogate:
         for rec in surrogate.records:
             grid = rec.grid
             acc = np.zeros(build_grid(rec.level).n)
-            wx = grid.lagrange_weights(y[0])
-            wy = grid.lagrange_weights(y[1])
+            wx, wy = grid.lagrange_weights_many(y)
             for k in itertools.product(range(len(grid)), repeat=2):
                 weight = wx[k[0]] * wy[k[1]]
                 acc += weight * delta_nodal(grid.nodes[list(k)], rec.level, EXP2)
@@ -174,6 +173,29 @@ class TestSurrogate:
         y = np.array([0.4, 0.8])
         assert np.allclose(scaled.evaluate(y), alpha * surrogate.evaluate(y),
                            rtol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+           st.integers(0, 2**32 - 1))
+    def test_linearity_over_levels(self, tight_n2_l2, factors, seed):
+        # every query of a surrogate with level tensors a_l X_l is the sum over
+        # l of a_l times the query of the surrogate that keeps level l alone
+        surrogate, _ = tight_n2_l2
+        Y = np.random.default_rng(seed).uniform(-1, 1, (6, 2))
+
+        def queries(scales):
+            s = MLSurrogate(surrogate.model, surrogate.n_params, surrogate.plan,
+                            [type(rec)(rec.level, rec.grid, rec.tensor.scaled(a))
+                             for rec, a in zip(surrogate.records, scales)])
+            return [s.evaluate_batch(Y), s.psi_batch(Y), s.expectation(),
+                    s.expectation_psi()]
+
+        got = queries(factors)
+        parts = [queries(np.eye(3)[level]) for level in range(3)]
+        for q, value in enumerate(got):
+            terms = [a * part[q] for a, part in zip(factors, parts)]
+            scale = sum(np.max(np.abs(t)) for t in terms)
+            assert np.max(np.abs(value - sum(terms))) <= 1e-12 * scale
 
     def test_batch_matches_single(self, tight_n2_l2, rng):
         surrogate, _ = tight_n2_l2
@@ -294,8 +316,9 @@ class TestNodalFrames:
         for rec in surrogate.records:
             X = rec.tensor
             w = rec.grid.quadrature_weights[None, :]
-            mean.append(ht_contract(
-                X, {m: w @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in range(N)}, N))
+            coef = ht_coefficients(
+                X, {m: w @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in range(N)}, N)
+            mean.append(coef @ X.leaf_frames[X.tree.leaf_of_mode[N]].T)
         e_nodal, e_psi = h1_route(surrogate, mean)
         assert_close(surrogate.expectation(), e_nodal[0])
         assert_close(surrogate.expectation_psi(), e_psi[0])
