@@ -122,13 +122,14 @@ def _build(cfg: ExperimentConfig, model, level: int, seed: int
                   seed=seed, rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
 
 
-def _build_reference(cfg: ExperimentConfig, model, surrogate
+def _build_reference(cfg: ExperimentConfig, model
                      ) -> tuple[MLSurrogate | None, list[LevelDiagnostics]]:
-    """The reference surrogate and the diagnostics of its own build, if it has one."""
-    if cfg.ref_level is None:
+    """The reference surrogate and the diagnostics of its own build, if it has one.
+
+    A reference at max_level would be the surrogate itself, so there is none.
+    """
+    if cfg.ref_level is None or cfg.ref_level == cfg.max_level:
         return None, []
-    if cfg.ref_level == cfg.max_level:
-        return surrogate, []
     return _build(cfg, model, cfg.ref_level, cfg.seed + 1)
 
 
@@ -140,7 +141,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     diags = []
     try:
         surrogate, diags = _build(cfg, model, cfg.max_level, cfg.seed)
-        reference, ref_diags = _build_reference(cfg, model, surrogate)
+        reference, ref_diags = _build_reference(cfg, model)
     except (BudgetError, EllipticityError) as err:
         # a failed reference build keeps the levels of the finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])

@@ -23,6 +23,14 @@ by the flat C-order index of each multi-index.
 Evaluation accounting: step 1 is counted in spatial fibers (one fiber is one
 column, i.e. one collocation-point evaluation of the underlying model) and
 step 2 in entries of the reduced tensor.
+
+The caller tunes only the accuracy, the rank cap and the rng.  The loop
+constants are fixed by the method, and the golden counts and the acceptance
+suite depend on them: S_INIT and S_PER_LOOP (random crosses in step 1's first
+training set and per further loop), MAX_LOOPS (step 1's loop limit),
+PROBE_CROSSES (random crosses per step-2 validation), MAX_SWEEPS (step-2
+sweeps before a tensor is returned unconverged) and POOL_CAP (column
+candidates per node in step 2).  Functions read them at call time.
 """
 
 from __future__ import annotations
@@ -37,7 +45,13 @@ import numpy as np
 from .errors import BudgetError, PivotError
 from .htensor import DimensionTree, HTensor
 
-RCOND_GUARD = 1e-12
+RCOND_GUARD = 1e-12     # pivot blocks with a smaller rcond estimate are rejected
+S_INIT = 3              # random crosses in step 1's first training set
+S_PER_LOOP = 3          # random crosses step 1 adds per further loop
+MAX_LOOPS = 500         # step-1 loops before the basis is returned as it is
+PROBE_CROSSES = 3       # random crosses in each step-2 validation
+MAX_SWEEPS = 4          # step-2 sweeps before the tensor is returned unconverged
+POOL_CAP = 600          # column candidates per node in a step-2 pivot search
 DEFAULT_RANK_CAP = 150
 DEFAULT_EVAL_BUDGET = 10**7
 
@@ -183,18 +197,16 @@ class TrainingSet:
     indices: list = field(default_factory=list)
     crosses: int = 0
 
-    def _add_cross(self, rng):
-        center = tuple(int(rng.integers(n)) for n in self.shape)
-        known = set(self.indices)
-        for idx in cross_indices(self.shape, center):
-            if idx not in known:
-                self.indices.append(idx)
-                known.add(idx)
-        self.crosses += 1
-
     def enrich(self, s: int, rng) -> None:
+        """Add s crosses with uniformly random centers."""
+        known = set(self.indices)
         for _ in range(s):
-            self._add_cross(rng)
+            center = tuple(int(rng.integers(n)) for n in self.shape)
+            for idx in cross_indices(self.shape, center):
+                if idx not in known:
+                    self.indices.append(idx)
+                    known.add(idx)
+            self.crosses += 1
 
 
 def build_training_set(shape, s: int, rng) -> TrainingSet:
@@ -211,24 +223,20 @@ def build_training_set(shape, s: int, rng) -> TrainingSet:
 
 @dataclass
 class ColumnBasisDiag:
-    loops: int = 0
     columns_fetched: int = 0
     rank: int = 0
-    max_col_norm: float = 0.0
-    final_residual: float = 0.0
     zero_tensor: bool = False
 
 
 def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
-                        s_per_loop: int = 3, rng=None, relative: bool = False,
-                        max_rank: int | None = None, max_loops: int = 500):
+                        rng=None, max_rank: int | None = None):
     """Greedy orthonormal basis of the spatial column space.
 
     Repeatedly picks the trained column with the largest projection residual
     and appends its normalized residual to V, enriching the training set with
     fresh random crosses every loop and reusing all previously fetched
-    columns.  With relative=True the termination threshold is
-    eps * (largest column norm seen so far), re-evaluated each loop.
+    columns.  The termination threshold is eps * (largest column norm seen so
+    far), re-evaluated each loop.
     """
     if eps < 0:
         raise ValueError("tolerance must be nonnegative")
@@ -239,7 +247,7 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
 
     start = source.n_fetched
     V = np.zeros((n, 0))
-    norms2, proj, res2 = {}, {}, {}
+    norms2, res2 = {}, {}
 
     def admit(js):
         cols = source.columns(js)
@@ -247,23 +255,22 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
             if j in norms2:
                 continue
             norms2[j] = float(c @ c)
-            proj[j] = V.T @ c
-            res2[j] = max(norms2[j] - float(proj[j] @ proj[j]), 0.0)
-            diag.max_col_norm = max(diag.max_col_norm, math.sqrt(norms2[j]))
+            p = V.T @ c
+            res2[j] = max(norms2[j] - float(p @ p), 0.0)
 
     admit(train.indices)
+    loops = 0
     while True:
-        diag.loops += 1
-        if diag.loops > 1:
+        loops += 1
+        if loops > 1:
             before = len(train.indices)
-            train.enrich(s_per_loop, rng)
+            train.enrich(S_PER_LOOP, rng)
             admit(train.indices[before:])
-        threshold = eps * diag.max_col_norm if relative else eps
+        threshold = eps * math.sqrt(max(norms2.values()))
         appended = False
         while True:
             j_star = max(res2, key=lambda j: res2[j])
             estimate = math.sqrt(res2[j_star])
-            diag.final_residual = estimate
             if estimate <= threshold:
                 break
             # the incremental estimate suffers cancellation; recompute exactly
@@ -272,18 +279,16 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
             w -= V @ (V.T @ w)  # one re-orthogonalization pass
             nrm = float(np.linalg.norm(w))
             res2[j_star] = nrm * nrm
-            diag.final_residual = nrm
             if nrm <= threshold:
                 continue
             v = w / nrm
             V = np.hstack([V, v[:, None]])
             for j in norms2:
                 p = float(v @ source.column(j))
-                proj[j] = np.append(proj[j], p)
                 res2[j] = max(res2[j] - p * p, 0.0)
             appended = True
             break
-        if not appended or V.shape[1] >= max_rank or diag.loops > max_loops:
+        if not appended or V.shape[1] >= max_rank or loops > MAX_LOOPS:
             break
 
     if V.shape[1] == 0:
@@ -322,9 +327,8 @@ class PivotMatrix:
     """r x r pivot block with a full-pivot LU factorization."""
 
     def __init__(self, M: np.ndarray):
-        self.M = np.array(M, dtype=float)
-        n = self.M.shape[0]
-        A = self.M.copy()
+        A = np.array(M, dtype=float)
+        n = A.shape[0]
         pr, pc = np.arange(n), np.arange(n)
         for k in range(n):
             sub = np.abs(A[k:, k:])
@@ -348,20 +352,17 @@ class PivotMatrix:
         return float(d.min() / d.max())
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve M X = B (B may be a vector or a matrix of columns)."""
+        """Solve M X = B for a matrix B of columns."""
         from scipy.linalg import solve_triangular
 
         if not np.all(np.diag(self._lu) != 0.0):
             raise PivotError("pivot matrix is numerically singular")
-        B = np.asarray(B, dtype=float)
-        one_d = B.ndim == 1
-        Y = B[:, None] if one_d else B
-        Z = Y[self._pr, :]
+        Z = np.asarray(B, dtype=float)[self._pr, :]
         Z = solve_triangular(self._lu, Z, lower=True, unit_diagonal=True)
         Z = solve_triangular(self._lu, Z, lower=False)
         X = np.empty_like(Z)
         X[self._pc, :] = Z
-        return X[:, 0] if one_d else X
+        return X
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +383,7 @@ class CrossDiagnostics:
     sweeps: int = 0
     entries_evaluated: int = 0
     validation_residual: float = math.inf
-    target: float = 0.0
     converged: bool = False
-    wall_time: float = 0.0
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -398,9 +397,7 @@ class CrossDiagnostics:
             w.writerow(["sweeps", self.sweeps])
             w.writerow(["entries_evaluated", self.entries_evaluated])
             w.writerow(["validation_residual", f"{self.validation_residual:.6e}"])
-            w.writerow(["target", f"{self.target:.6e}"])
             w.writerow(["converged", self.converged])
-            w.writerow(["wall_time_s", f"{self.wall_time:.3f}"])
 
 
 class _NodeState:
@@ -423,20 +420,14 @@ class _NodeState:
 class _CrossRun:
     """One hierarchical cross approximation over a fixed oracle and tree."""
 
-    def __init__(self, oracle, tree: DimensionTree, eps: float, rng,
-                 rank_cap: int, probe_crosses: int, max_sweeps: int,
-                 pool_cap: int = 600):
+    def __init__(self, oracle, tree: DimensionTree, eps: float, rng, rank_cap: int):
         self.oracle = oracle
         self.tree = tree
         self.shape = oracle.shape
         self.d = len(oracle.shape)
         self.eps = eps
-        self.eps_node = eps
         self.rng = rng
         self.rank_cap = rank_cap
-        self.probe_crosses = probe_crosses
-        self.max_sweeps = max_sweeps
-        self.pool_cap = pool_cap
         self.states: dict[int, _NodeState] = {}
         self.hints: list[tuple] = []    # full indices that seed extra candidates
         self.extra_contexts = 0
@@ -515,7 +506,7 @@ class _CrossRun:
                 for ctx in contexts:
                     col = self.merge_col(st.comp, sibling_modes, u, ctx_modes, ctx)
                     cols.setdefault(col)
-                    if len(cols) >= self.pool_cap:
+                    if len(cols) >= POOL_CAP:
                         return list(rows), list(cols)
         return list(rows), list(cols)
 
@@ -668,7 +659,7 @@ class _CrossRun:
     def validate(self, X: HTensor):
         from .htensor import ht_entries
 
-        probes = build_training_set(self.shape, self.probe_crosses, self.rng).indices
+        probes = build_training_set(self.shape, PROBE_CROSSES, self.rng).indices
         exact = self.oracle.entries(probes)
         approx = ht_entries(X, np.array(probes))
         denom = np.linalg.norm(exact)
@@ -681,12 +672,11 @@ class _CrossRun:
     # -- driver ---------------------------------------------------------------
 
     def run(self):
-        t0 = time.perf_counter()
-        diag = CrossDiagnostics(target=self.eps)
+        diag = CrossDiagnostics()
         start_count = self.oracle.count
         self.eps_node = self.eps
         X = None
-        for sweep in range(1, self.max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             diag.sweeps = sweep
             self.sweep()
             X = self.assemble()
@@ -705,13 +695,11 @@ class _CrossRun:
             diag.nodes.append(NodeDiag(st.modes, len(st.rows), list(st.rows),
                                        list(st.cols), st.residual))
         diag.entries_evaluated = self.oracle.count - start_count
-        diag.wall_time = time.perf_counter() - t0
         return X, diag
 
 
 def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
-               rank_cap: int = DEFAULT_RANK_CAP, probe_crosses: int = 3,
-               max_sweeps: int = 4):
+               rank_cap: int = DEFAULT_RANK_CAP):
     """Adaptive cross approximation of an entry oracle in hierarchical form.
 
     Ranks per node grow until the sampled residual estimate drops below
@@ -726,8 +714,7 @@ def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
     if tree.order < 2:
         raise ValueError("cross approximation needs a tree of order at least 2")
     rng = np.random.default_rng() if rng is None else rng
-    run = _CrossRun(oracle, tree, eps_ten, rng, rank_cap, probe_crosses, max_sweeps)
-    return run.run()
+    return _CrossRun(oracle, tree, eps_ten, rng, rank_cap).run()
 
 
 def lift_spatial(Y: HTensor, V: np.ndarray) -> HTensor:
@@ -755,17 +742,13 @@ class ApproxResult:
     step1_evals: int      # spatial fibers fetched in step 1 (collocation points)
     step2_evals: int      # reduced-tensor entries evaluated in step 2
     step2_fibers: int     # additional fibers fetched during step 2
-    basis_rank: int
-    step1_diag: ColumnBasisDiag
     cross_diag: CrossDiagnostics
     step1_time: float = 0.0
     step2_time: float = 0.0
 
 
 def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float,
-                       *, rng=None, s_init: int = 3, s_per_loop: int = 3,
-                       rank_cap: int = DEFAULT_RANK_CAP, probe_crosses: int = 3,
-                       max_sweeps: int = 4) -> ApproxResult:
+                       *, rng=None, rank_cap: int = DEFAULT_RANK_CAP) -> ApproxResult:
     """Run the three-step pipeline against a fiber-structured oracle.
 
     Step 1 uses an absolute tolerance derived from eps_rel and the running
@@ -778,15 +761,13 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     rng = np.random.default_rng() if rng is None else rng
 
     t0 = time.perf_counter()
-    train = build_training_set(source.param_shape, s_init, rng)
-    V, s1diag = greedy_column_basis(source, train, eps_rel, s_per_loop=s_per_loop,
-                                    rng=rng, relative=True, max_rank=rank_cap)
+    train = build_training_set(source.param_shape, S_INIT, rng)
+    V, s1diag = greedy_column_basis(source, train, eps_rel, rng=rng, max_rank=rank_cap)
     t1 = time.perf_counter()
 
     fibers_after_step1 = source.n_fetched
     reduced = reduce_oracle(source, V)
-    Yt, cdiag = hier_cross(reduced, tree, eps_rel, rng=rng, rank_cap=rank_cap,
-                           probe_crosses=probe_crosses, max_sweeps=max_sweeps)
+    Yt, cdiag = hier_cross(reduced, tree, eps_rel, rng=rng, rank_cap=rank_cap)
     t2 = time.perf_counter()
 
     X = lift_spatial(Yt, V)
@@ -795,8 +776,6 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
         step1_evals=s1diag.columns_fetched,
         step2_evals=reduced.count,
         step2_fibers=source.n_fetched - fibers_after_step1,
-        basis_rank=V.shape[1],
-        step1_diag=s1diag,
         cross_diag=cdiag,
         step1_time=t1 - t0,
         step2_time=t2 - t1,

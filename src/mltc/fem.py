@@ -35,7 +35,7 @@ another path that differs by up to 2.5e-16 relative.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,40 +85,32 @@ class GridLevel:
         self.n = self.m * self.m
         self._basis = {}                    # terms -> basis values at quad_points
 
-    @property
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
-        if not hasattr(self, "_bnd"):
-            ix, iy = np.meshgrid(np.arange(self.m), np.arange(self.m), indexing="xy")
-            mask = (ix == 0) | (ix == self.m - 1) | (iy == 0) | (iy == self.m - 1)
-            self._bnd = mask.ravel()        # node index = iy * m + ix
-        return self._bnd
+        ix, iy = np.meshgrid(np.arange(self.m), np.arange(self.m), indexing="xy")
+        mask = (ix == 0) | (ix == self.m - 1) | (iy == 0) | (iy == self.m - 1)
+        return mask.ravel()                 # node index = iy * m + ix
 
-    @property
+    @cached_property
     def elements(self) -> np.ndarray:
         """(n_elements, 4) global node indices in local corner order."""
-        if not hasattr(self, "_elems"):
-            mc = self.m - 1
-            ix, iy = np.meshgrid(np.arange(mc), np.arange(mc), indexing="xy")
-            v = (iy * self.m + ix).ravel()
-            self._elems = np.stack([v, v + 1, v + self.m, v + self.m + 1], axis=1)
-        return self._elems
+        mc = self.m - 1
+        ix, iy = np.meshgrid(np.arange(mc), np.arange(mc), indexing="xy")
+        v = (iy * self.m + ix).ravel()
+        return np.stack([v, v + 1, v + self.m, v + self.m + 1], axis=1)
 
-    @property
+    @cached_property
     def quad_points(self) -> np.ndarray:
         """(n_elements, 4, 2) physical quadrature point coordinates."""
-        if not hasattr(self, "_qp"):
-            mc = self.m - 1
-            ix, iy = np.meshgrid(np.arange(mc), np.arange(mc), indexing="xy")
-            origins = np.stack([ix.ravel(), iy.ravel()], axis=1) * self.h
-            self._qp = origins[:, None, :] + _QPTS[None, :, :] * self.h
-        return self._qp
+        mc = self.m - 1
+        ix, iy = np.meshgrid(np.arange(mc), np.arange(mc), indexing="xy")
+        origins = np.stack([ix.ravel(), iy.ravel()], axis=1) * self.h
+        return origins[:, None, :] + _QPTS[None, :, :] * self.h
 
-    @property
+    @cached_property
     def stiffness_pattern(self):
         """(indptr, indices, gather) of the assembled stiffness; see assemble()."""
-        if not hasattr(self, "_pattern"):
-            self._pattern = _stiffness_pattern(self)
-        return self._pattern
+        return _stiffness_pattern(self)
 
     def quad_basis(self, model: CoefficientModel) -> np.ndarray:
         """basis_values(model, ...) at the flattened quadrature points.

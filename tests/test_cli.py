@@ -120,7 +120,9 @@ class TestRun:
         assert main(["run", str(cfg)]) == 0
         errors = list(csv.DictReader(open(tmp_path / "out" / "errors.csv")))
         assert float(errors[0]["eps_ml_u"]) < 1e-10
-        assert float(errors[0]["eps_e_u"]) < 1e-14
+        # ref_level == max_level: no reference build, so no expectation errors
+        assert errors[0]["eps_e_u"] == errors[0]["eps_e_psi"] == ""
+        assert "eps_E" not in (tmp_path / "out" / "report.txt").read_text()
 
     def test_missing_config_exit_code(self, capsys):
         assert main(["run", "/no/such/file.ini"]) == 2

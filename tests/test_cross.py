@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mltc import htensor
+from mltc import cross, htensor
 from mltc.cross import (ColumnSource, EntryOracle, EvalBudget, PivotMatrix,
                         approximate_tensor, build_training_set, cross_indices,
                         greedy_column_basis, hier_cross, lift_spatial,
@@ -153,7 +153,7 @@ class TestGreedyColumnBasis:
         T = np.tile(v[None, :], (5, 1))          # all columns equal v
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((5,), 1, rng)
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng, relative=True)
+        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
         assert diag.rank == 1
         assert np.allclose(np.abs(V[:, 0]), np.abs(v / np.linalg.norm(v)))
 
@@ -165,7 +165,7 @@ class TestGreedyColumnBasis:
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((6,), 3, rng)
         train.indices = [(i,) for i in range(6)]
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng, relative=True)
+        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
         assert diag.rank == 2
         for direction in (u, w):
             res = direction - V @ (V.T @ direction)
@@ -175,9 +175,27 @@ class TestGreedyColumnBasis:
         T = np.zeros((4, 3))
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((4,), 2, rng)
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng, relative=True)
+        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
         assert diag.zero_tensor and diag.rank == 1
         assert np.isclose(np.linalg.norm(V[:, 0]), 1.0)
+
+    def test_threshold_relative_to_largest_column(self):
+        # the threshold scales with the columns: scaling the tensor by a power
+        # of two changes no decision and no bit of V
+        gen = np.random.default_rng(3)
+        T = sum(4.0**-k * rank_one([gen.standard_normal(n) for n in (4, 4, 10)])
+                for k in range(5))
+        runs = []
+        for scale in (1.0, 2.0**20, 2.0**-20):
+            src = ColumnSource.from_entry_oracle(dense_oracle(scale * T))
+            rng = np.random.default_rng(8)
+            train = build_training_set((4, 4), 1, rng)
+            V, diag = greedy_column_basis(src, train, 1e-2, rng=rng)
+            runs.append((diag.rank, diag.columns_fetched, V))
+        assert runs[0][0] >= 2
+        for rank, fetched, V in runs[1:]:
+            assert (rank, fetched) == runs[0][:2]
+            assert np.array_equal(V, runs[0][2])
 
 
 class TestReduceOracle:
@@ -253,9 +271,10 @@ class TestHierCross:
             return entries(X, indices)
 
         monkeypatch.setattr(htensor, "ht_entries", counting)
+        monkeypatch.setattr(cross, "MAX_SWEEPS", 3)
         T = np.random.default_rng(0).standard_normal((4, 4, 4, 4))
         _, diag = hier_cross(dense_oracle(T), build_tree(4, "balanced"), 0.1,
-                             rng=np.random.default_rng(0), max_sweeps=3)
+                             rng=np.random.default_rng(0))
         assert diag.sweeps > 1
         assert len(calls) == diag.sweeps
 

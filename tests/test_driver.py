@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mltc import driver
+from mltc import cli, cross, driver
 from mltc.colloc import CollocationGrid
 from mltc.config import load_config
 from mltc.cross import ColumnSource
@@ -415,6 +415,19 @@ def test_golden_counts(name):
     got = [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.r_max)
            for d in diags]
     assert got == GOLDEN_COUNTS[name]
+
+
+def test_one_sweep_leaves_levels_unconverged(monkeypatch):
+    # levels 2 and 3 of exp-decay-small need a second sweep; with one sweep
+    # the validation leaves them unconverged and the CLI names exactly them
+    monkeypatch.setattr(cross, "MAX_SWEEPS", 1)
+    _, diags = build_config("exp-decay-small")
+    assert [d.converged for d in diags] == [True, True, False, False, True]
+    assert all(d.cross_residual > d.eps_target for d in diags[2:4])
+    warnings = cli._unconverged(diags)
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: level 2 did not converge")
+    assert warnings[1].startswith("warning: level 3 did not converge")
 
 
 @pytest.fixture(scope="module")
