@@ -1,18 +1,18 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
-Exit codes: 0 success, 2 configuration error (including an unknown config
-key or section), 3 budget abort, 4 loss of ellipticity (the coefficient is
-nonpositive at a collocation point of the build), 1 internal error.  `run`
-writes levels.csv, errors.csv and report.txt into the output directory.  On
-exit 3 or 4 it writes levels.csv alone, with eps_level empty: the levels built
-so far, or every level of the finished build when only the reference build
-fails.  `sweep` writes one errors.csv row per level, and on exit 3 or 4 the
-rows of the levels finished so far.  A level whose cross approximation ends
-unconverged is kept (exit 0), and `run` names it, with its validation
-residual and target, on stderr and in report.txt; a level of the reference
-build is named the same way, as a "reference level", by `run` and, on stderr,
-by `sweep`, which names the levels of each swept build on stderr as well
-("L=2 level 1").
+Exit codes: 0 success, 2 configuration error (an unknown config key or
+section, or a setting out of range), 3 budget abort, 4 loss of ellipticity
+(the coefficient is nonpositive at a collocation point of the build), 1
+internal error.  `run` writes levels.csv, errors.csv and report.txt into the
+output directory.  On exit 3 or 4 it writes levels.csv alone, with eps_level
+empty: the levels built so far, or every level of the finished build when only
+the reference build fails.  `sweep` writes one errors.csv row per level, and
+on exit 3 or 4 the rows of the levels finished so far.  A level whose cross
+approximation ends unconverged is kept (exit 0), and `run` names it, with its
+validation residual and target, on stderr and in report.txt; a level of the
+reference build is named the same way, as a "reference level", by `run` and,
+on stderr, by `sweep`, which names the levels of each swept build on stderr as
+well ("L=2 level 1").
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .config import ExperimentConfig, load_config
 from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, error_metrics,
                      run_ml)
 from .errors import BudgetError, ConfigError, EllipticityError
+from .fem import MAX_LEVEL
 from .fields import make_model
 
 LEVEL_COLUMNS = ["level", "degree", "n", "r_eff", "r_max", "step1", "step2",
@@ -182,11 +183,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     if not levels:
         raise ConfigError("sweep needs a nonempty ascending list of levels")
-    if sorted(levels) != levels:
-        raise ConfigError("sweep levels must be ascending")
-    ref_level = cfg.ref_level if cfg.ref_level is not None else max(levels) + 1
-    if ref_level <= max(levels):
-        raise ConfigError("ref_level must exceed the largest sweep level")
+    if sorted(set(levels)) != levels:
+        raise ConfigError("sweep levels must be ascending and distinct")
+    if levels[0] < 0 or levels[-1] > MAX_LEVEL:
+        raise ConfigError(f"sweep levels must be in [0, {MAX_LEVEL}]")
+    ref_level = cfg.ref_level if cfg.ref_level is not None else levels[-1] + 1
+    if not levels[-1] < ref_level <= MAX_LEVEL:
+        raise ConfigError(f"ref_level must be in (largest sweep level, {MAX_LEVEL}]")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)

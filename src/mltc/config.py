@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .cross import DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP
 from .errors import ConfigError
+from .fem import MAX_LEVEL
 from .fields import DECAY_LAWS, KINDS
 
 
@@ -40,16 +41,20 @@ class ExperimentConfig:
             raise ConfigError(f"decay must be one of {DECAY_LAWS}, got {self.decay!r}")
         if self.terms < 1:
             raise ConfigError("terms must be at least 1")
-        if self.max_level < 0:
-            raise ConfigError("max_level must be nonnegative")
-        if self.ref_level is not None and self.ref_level < self.max_level:
-            raise ConfigError("ref_level must be at least max_level")
+        if not 0 <= self.max_level <= MAX_LEVEL:
+            raise ConfigError(f"max_level must be in [0, {MAX_LEVEL}]")
+        if self.ref_level is not None and not self.max_level <= self.ref_level <= MAX_LEVEL:
+            raise ConfigError(f"ref_level must be in [max_level, {MAX_LEVEL}]")
         if self.eps0 <= 0:
             raise ConfigError("eps0 must be positive")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
         if self.tree not in ("balanced", "linear"):
             raise ConfigError("tree must be 'balanced' or 'linear'")
+        if self.rank_cap < 1 or self.eval_budget < 1:
+            raise ConfigError("rank_cap and eval_budget must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         return self
 
 

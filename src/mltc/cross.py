@@ -13,7 +13,12 @@ node are combinations of sibling-mode fibers with the parent's column pivots,
 and parent row pivots seed the children's search.  Leaf frames and transfer
 tensors of the result are filled with oracle values at pivot-determined
 entries only.  A validation pass on random probe crosses decides whether a
-tightened re-sweep is needed.
+tightened re-sweep is needed.  A node keeps its pivot skeleton (pivot rows,
+pivot columns and their block) and no trace; CrossDiagnostics holds the sweep
+count, the last validation residual and whether it met the target.  Residual
+products U @ pm.solve(B) keep their operand shapes (the bitwise rule), so a
+pivot search solves its skeleton-rows x pool block once and shares it, while
+each row-fiber residual keeps its own one-column solve.
 
 Oracle contract: an EntryOracle's `fn` takes an (m, d) int array of distinct,
 not yet cached multi-indices and returns their m values.  Step 2 reads the
@@ -35,7 +40,6 @@ candidates per node in step 2).  Functions read them at call time.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -195,7 +199,6 @@ def cross_indices(shape, center) -> list:
 class TrainingSet:
     shape: tuple
     indices: list = field(default_factory=list)
-    crosses: int = 0
 
     def enrich(self, s: int, rng) -> None:
         """Add s crosses with uniformly random centers."""
@@ -206,7 +209,6 @@ class TrainingSet:
                 if idx not in known:
                     self.indices.append(idx)
                     known.add(idx)
-            self.crosses += 1
 
 
 def build_training_set(shape, s: int, rng) -> TrainingSet:
@@ -221,16 +223,9 @@ def build_training_set(shape, s: int, rng) -> TrainingSet:
 # ---------------------------------------------------------------------------
 # step 1: greedy spatial column basis
 
-@dataclass
-class ColumnBasisDiag:
-    columns_fetched: int = 0
-    rank: int = 0
-    zero_tensor: bool = False
-
-
 def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
-                        rng=None, max_rank: int | None = None):
-    """Greedy orthonormal basis of the spatial column space.
+                        rng=None, max_rank: int | None = None) -> np.ndarray:
+    """Greedy orthonormal basis V of the spatial column space.
 
     Repeatedly picks the trained column with the largest projection residual
     and appends its normalized residual to V, enriching the training set with
@@ -243,9 +238,6 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
     rng = np.random.default_rng() if rng is None else rng
     n = source.n_spatial
     max_rank = n if max_rank is None else min(max_rank, n)
-    diag = ColumnBasisDiag()
-
-    start = source.n_fetched
     V = np.zeros((n, 0))
     norms2, res2 = {}, {}
 
@@ -293,12 +285,9 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
 
     if V.shape[1] == 0:
         # numerically zero tensor: canonical unit vector keeps ranks >= 1
-        diag.zero_tensor = True
         V = np.zeros((n, 1))
         V[0, 0] = 1.0
-    diag.rank = V.shape[1]
-    diag.columns_fetched = source.n_fetched - start
-    return V, diag
+    return V
 
 
 def reduce_oracle(source: ColumnSource, V: np.ndarray) -> EntryOracle:
@@ -369,47 +358,20 @@ class PivotMatrix:
 # step 2: hierarchical cross approximation
 
 @dataclass
-class NodeDiag:
-    modes: tuple
-    rank: int
-    rows: list
-    cols: list
-    residual: float
-
-
-@dataclass
 class CrossDiagnostics:
-    nodes: list = field(default_factory=list)
     sweeps: int = 0
-    entries_evaluated: int = 0
     validation_residual: float = math.inf
     converged: bool = False
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["modes", "rank", "row_pivots", "col_pivots", "residual"])
-            for nd in self.nodes:
-                w.writerow(["+".join(map(str, nd.modes)), nd.rank,
-                            ";".join(map(str, nd.rows)), ";".join(map(str, nd.cols)),
-                            f"{nd.residual:.6e}"])
-            w.writerow([])
-            w.writerow(["sweeps", self.sweeps])
-            w.writerow(["entries_evaluated", self.entries_evaluated])
-            w.writerow(["validation_residual", f"{self.validation_residual:.6e}"])
-            w.writerow(["converged", self.converged])
-
 
 class _NodeState:
-    def __init__(self, node, modes, comp):
-        self.node = node
+    def __init__(self, modes, comp):
         self.modes = modes          # sorted mode tuple of the node
         self.comp = comp            # sorted complement
         self.rows = []              # pivot tuples over `modes`
         self.cols = []              # pivot tuples over `comp`
         self.M = np.zeros((0, 0))
         self.pm = None              # PivotMatrix of M
-        self.residual = math.inf
         self.zero = False
         self.rejected = set()
 
@@ -524,11 +486,18 @@ class _CrossRun:
         col_pool = [c for c in col_pool if c not in st.cols]
         if not col_pool:
             return best
-        for r0 in row_centers[:3]:
-            r = r0
-            c = None
+        W = None
+        for r in row_centers[:3]:
             for _ in range(3):
-                res = self._residual_block(st, [r], col_pool)[0]
+                res = self._block(st.modes, [r], st.comp, col_pool)
+                if st.rows:
+                    U = self._block(st.modes, [r], st.comp, st.cols)
+                    if W is None:
+                        # solved once per search, after the first row's blocks (same
+                        # oracle order); W spans the pool so U @ W keeps its shapes
+                        W = st.pm.solve(self._block(st.modes, st.rows, st.comp, col_pool))
+                    res = res - U @ W
+                res = res[0]
                 jbest = int(np.argmax(np.abs(res)))
                 c = col_pool[jbest]
                 row_fiber = [x for x in self.mode_cross(st.modes, r) if x not in st.rows]
@@ -553,10 +522,8 @@ class _CrossRun:
             r, c, val = self.find_pivot(st, row_centers, col_pool)
             scale = self.oracle.max_abs
             if r is None or val <= self.eps_node * scale or val == 0.0:
-                st.residual = max(val, 0.0)
                 break
             if len(st.rows) >= min(node_cap, self.rank_cap):
-                st.residual = val
                 if node_cap > self.rank_cap:
                     raise BudgetError(
                         f"rank cap {self.rank_cap} reached at node {st.modes} "
@@ -569,11 +536,9 @@ class _CrossRun:
             if pm_new.rcond_estimate < RCOND_GUARD:
                 st.rejected.add((r, c))
                 if len(st.rejected) > 3 * (len(st.rows) + 1):
-                    st.residual = val
                     break
                 continue
             st.rows, st.cols, st.M, st.pm = rows_new, cols_new, M_new, pm_new
-            st.residual = val
             if r not in row_centers:
                 row_centers.append(r)
         if not st.rows:
@@ -589,7 +554,7 @@ class _CrossRun:
     def state_for(self, node) -> _NodeState:
         if node.index not in self.states:
             comp = self.tree.complement(node)
-            self.states[node.index] = _NodeState(node, tuple(node.modes), comp)
+            self.states[node.index] = _NodeState(tuple(node.modes), comp)
         return self.states[node.index]
 
     def sweep(self):
@@ -606,7 +571,6 @@ class _CrossRun:
                 s2.cols = [self.restrict(s1.modes, r, s2.comp) for r in s1.rows]
                 s2.M = s1.M.T.copy()
                 s2.refresh()
-                s2.residual = s1.residual
                 s2.zero = s1.zero
             else:
                 parent = self.state_for(node)
@@ -673,7 +637,6 @@ class _CrossRun:
 
     def run(self):
         diag = CrossDiagnostics()
-        start_count = self.oracle.count
         self.eps_node = self.eps
         X = None
         for sweep in range(1, MAX_SWEEPS + 1):
@@ -690,11 +653,6 @@ class _CrossRun:
             self.extra_contexts += 1
             worst = np.argsort(-np.abs(gap))[:3]
             self.hints = [probes[i] for i in worst]
-        for idx in sorted(self.states):
-            st = self.states[idx]
-            diag.nodes.append(NodeDiag(st.modes, len(st.rows), list(st.rows),
-                                       list(st.cols), st.residual))
-        diag.entries_evaluated = self.oracle.count - start_count
         return X, diag
 
 
@@ -741,7 +699,6 @@ class ApproxResult:
     tensor: HTensor
     step1_evals: int      # spatial fibers fetched in step 1 (collocation points)
     step2_evals: int      # reduced-tensor entries evaluated in step 2
-    step2_fibers: int     # additional fibers fetched during step 2
     cross_diag: CrossDiagnostics
     step1_time: float = 0.0
     step2_time: float = 0.0
@@ -761,11 +718,12 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     rng = np.random.default_rng() if rng is None else rng
 
     t0 = time.perf_counter()
+    fetched = source.n_fetched
     train = build_training_set(source.param_shape, S_INIT, rng)
-    V, s1diag = greedy_column_basis(source, train, eps_rel, rng=rng, max_rank=rank_cap)
+    V = greedy_column_basis(source, train, eps_rel, rng=rng, max_rank=rank_cap)
+    step1_evals = source.n_fetched - fetched
     t1 = time.perf_counter()
 
-    fibers_after_step1 = source.n_fetched
     reduced = reduce_oracle(source, V)
     Yt, cdiag = hier_cross(reduced, tree, eps_rel, rng=rng, rank_cap=rank_cap)
     t2 = time.perf_counter()
@@ -773,9 +731,8 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     X = lift_spatial(Yt, V)
     return ApproxResult(
         tensor=X,
-        step1_evals=s1diag.columns_fetched,
+        step1_evals=step1_evals,
         step2_evals=reduced.count,
-        step2_fibers=source.n_fetched - fibers_after_step1,
         cross_diag=cdiag,
         step1_time=t1 - t0,
         step2_time=t2 - t1,

@@ -87,6 +87,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("key, value", [("max_level", "13"), ("max_level", "-1"),
+                                            ("ref_level", "13"), ("rank_cap", "0"),
+                                            ("eval_budget", "0"), ("eval_budget", "-1"),
+                                            ("seed", "-1")])
+    def test_out_of_range_rejected(self, tmp_path, monkeypatch, key, value):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out", **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        assert builds == []
+
+    def test_seed_override_out_of_range(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path), "--seed=-1"]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert builds == []
+
 
 class TestRun:
     def test_small_run_outputs(self, tmp_path, capsys):
@@ -332,3 +353,12 @@ class TestSweep:
     def test_descending_levels(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), "--levels", "2,1"]) == 2
+
+    @pytest.mark.parametrize("levels", ["-1,0", "2,2", "11,13"])
+    def test_bad_levels_build_nothing(self, tmp_path, monkeypatch, capsys, levels):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        cfg = write_config(tmp_path / "c.ini", ref_level="3", out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), f"--levels={levels}"]) == 2
+        assert "sweep levels must be" in capsys.readouterr().err
+        assert builds == []

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mltc import cross, htensor
-from mltc.cross import (ColumnSource, EntryOracle, EvalBudget, PivotMatrix,
-                        approximate_tensor, build_training_set, cross_indices,
-                        greedy_column_basis, hier_cross, lift_spatial,
-                        reduce_oracle)
+from mltc.cross import (DEFAULT_RANK_CAP, ColumnSource, EntryOracle, EvalBudget,
+                        PivotMatrix, approximate_tensor, build_training_set,
+                        cross_indices, greedy_column_basis, hier_cross,
+                        lift_spatial, reduce_oracle)
 from mltc.errors import BudgetError
 from mltc.htensor import build_tree, ht_entries, ht_full
 
@@ -138,7 +138,6 @@ class TestTrainingSet:
 
     def test_overlap_bound(self, rng):
         train = build_training_set((5,) * 10, 3, rng)
-        assert train.crosses == 3
         assert len(train.indices) <= 3 * (10 * 5 - 9)
         assert len(set(train.indices)) == len(train.indices)
 
@@ -153,8 +152,8 @@ class TestGreedyColumnBasis:
         T = np.tile(v[None, :], (5, 1))          # all columns equal v
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((5,), 1, rng)
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
-        assert diag.rank == 1
+        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        assert V.shape[1] == 1
         assert np.allclose(np.abs(V[:, 0]), np.abs(v / np.linalg.norm(v)))
 
     def test_two_directions(self, rng):
@@ -165,19 +164,18 @@ class TestGreedyColumnBasis:
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((6,), 3, rng)
         train.indices = [(i,) for i in range(6)]
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
-        assert diag.rank == 2
+        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        assert V.shape[1] == 2
         for direction in (u, w):
             res = direction - V @ (V.T @ direction)
             assert np.linalg.norm(res) < 1e-10
 
-    def test_zero_tensor(self, rng):
+    def test_zero_columns_give_unit_vector(self, rng):
         T = np.zeros((4, 3))
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
         train = build_training_set((4,), 2, rng)
-        V, diag = greedy_column_basis(src, train, 1e-10, rng=rng)
-        assert diag.zero_tensor and diag.rank == 1
-        assert np.isclose(np.linalg.norm(V[:, 0]), 1.0)
+        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        assert np.array_equal(V, np.eye(3)[:, [0]])     # e_0 keeps the rank at one
 
     def test_threshold_relative_to_largest_column(self):
         # the threshold scales with the columns: scaling the tensor by a power
@@ -190,8 +188,8 @@ class TestGreedyColumnBasis:
             src = ColumnSource.from_entry_oracle(dense_oracle(scale * T))
             rng = np.random.default_rng(8)
             train = build_training_set((4, 4), 1, rng)
-            V, diag = greedy_column_basis(src, train, 1e-2, rng=rng)
-            runs.append((diag.rank, diag.columns_fetched, V))
+            V = greedy_column_basis(src, train, 1e-2, rng=rng)
+            runs.append((V.shape[1], src.n_fetched, V))
         assert runs[0][0] >= 2
         for rank, fetched, V in runs[1:]:
             assert (rank, fetched) == runs[0][:2]
@@ -302,12 +300,11 @@ class TestHierCross:
         sizes = (4, 4, 4, 4)
         X0 = random_htensor(tree, sizes, 3, rng)
         T0 = ht_full(X0)
-        X_loose, d_loose = hier_cross(dense_oracle(T0), tree, 1.0,
-                                      rng=np.random.default_rng(3))
-        X_tight, d_tight = hier_cross(dense_oracle(T0), tree, 1e-6,
-                                      rng=np.random.default_rng(3))
+        loose, tight = dense_oracle(T0), dense_oracle(T0)
+        X_loose, _ = hier_cross(loose, tree, 1.0, rng=np.random.default_rng(3))
+        hier_cross(tight, tree, 1e-6, rng=np.random.default_rng(3))
         assert max(X_loose.ranks.values()) == 1
-        assert d_loose.entries_evaluated <= d_tight.entries_evaluated
+        assert loose.count <= tight.count
 
     def test_interpolation_property(self, rng):
         # on an exactly recovered tensor the skeleton agrees with the source
@@ -316,11 +313,12 @@ class TestHierCross:
         sizes = (4, 3, 4)
         X0 = random_htensor(tree, sizes, 2, rng)
         T0 = ht_full(X0)
-        X, diag = hier_cross(dense_oracle(T0), tree, 1e-12,
-                             rng=np.random.default_rng(4))
+        run = cross._CrossRun(dense_oracle(T0), tree, 1e-12,
+                              np.random.default_rng(4), DEFAULT_RANK_CAP)
+        X, _ = run.run()
         T1 = ht_full(X)
         scale = abs(T0).max()
-        for nd in diag.nodes:
+        for nd in run.states.values():
             comp = tuple(m for m in range(3) if m not in nd.modes)
             order = list(nd.modes) + list(comp)
             M0 = np.transpose(T0, order).reshape(
@@ -351,12 +349,44 @@ class TestHierCross:
         T0 = ht_full(X0)
         runs = []
         for _ in range(2):
-            X, diag = hier_cross(dense_oracle(T0), tree, 1e-8,
-                                 rng=np.random.default_rng(77))
-            runs.append((diag.entries_evaluated,
-                         [(nd.modes, nd.rank, tuple(map(tuple, nd.rows)),
-                           tuple(map(tuple, nd.cols))) for nd in diag.nodes]))
-        assert runs[0] == runs[1]
+            oracle = dense_oracle(T0)
+            run = cross._CrossRun(oracle, tree, 1e-8, np.random.default_rng(77),
+                                  DEFAULT_RANK_CAP)
+            X, _ = run.run()
+            pivots = [(i, st.modes, st.rows, st.cols) for i, st in sorted(run.states.items())]
+            runs.append((oracle.count, pivots, X))
+        (count_a, pivots_a, X_a), (count_b, pivots_b, X_b) = runs
+        assert count_a == count_b and pivots_a == pivots_b
+        for k in X_a.leaf_frames:
+            assert np.array_equal(X_a.leaf_frames[k], X_b.leaf_frames[k])
+        for k in X_a.transfers:
+            assert np.array_equal(X_a.transfers[k], X_b.transfers[k])
+
+    def test_one_pool_solve_per_pivot_search(self, rng, monkeypatch):
+        # a pivot search solves the skeleton-rows x pool block once and shares
+        # it between its row residuals
+        counts, pool = [], []   # pool-wide solves per search; pool size of the live search
+        find_pivot, solve = cross._CrossRun.find_pivot, PivotMatrix.solve
+
+        def tracked_find_pivot(self, st, row_centers, col_pool):
+            counts.append(0)
+            pool.append(len([c for c in col_pool if c not in st.cols]))
+            try:
+                return find_pivot(self, st, row_centers, col_pool)
+            finally:
+                pool.pop()
+
+        def tracked_solve(self, B):
+            if pool and B.shape[1] == pool[-1]:
+                counts[-1] += 1
+            return solve(self, B)
+
+        monkeypatch.setattr(cross._CrossRun, "find_pivot", tracked_find_pivot)
+        monkeypatch.setattr(PivotMatrix, "solve", tracked_solve)
+        tree = build_tree(4, "balanced")
+        T0 = ht_full(random_htensor(tree, (4, 4, 4, 4), 3, rng))
+        hier_cross(dense_oracle(T0), tree, 1e-8, rng=np.random.default_rng(77))
+        assert max(counts) == 1
 
     def test_rank_cap_is_an_error(self, rng):
         T = rng.standard_normal((6, 6, 6))
@@ -462,14 +492,23 @@ class TestApproximateTensor:
 
         assert run(0.0625) <= run(0.25) + 1e-12
 
-    def test_accounting(self, rng):
+    def test_accounting(self, rng, monkeypatch):
         tree = build_tree(4, "balanced")
         X0 = random_htensor(tree, (4, 4, 4, 6), 3, rng)
         T0 = ht_full(X0)
         src = ColumnSource.from_entry_oracle(dense_oracle(T0))
+        fetched = []
+        basis = cross.greedy_column_basis
+
+        def recording(source, *args, **kwargs):
+            fetched.append(source.n_fetched)
+            V = basis(source, *args, **kwargs)
+            fetched.append(source.n_fetched)
+            return V
+
+        monkeypatch.setattr(cross, "greedy_column_basis", recording)
         res = approximate_tensor(src, tree, 1e-8, rng=np.random.default_rng(10))
-        assert res.step1_evals + res.step2_fibers == src.n_fetched
-        assert res.step2_evals == res.cross_diag.entries_evaluated
+        assert len(fetched) == 2 and res.step1_evals == fetched[1] - fetched[0] > 0
 
     def test_accuracy_validation(self, rng):
         # Frobenius error within a small factor of the requested accuracy
@@ -491,15 +530,3 @@ class TestApproximateTensor:
         src = ColumnSource.from_entry_oracle(dense_oracle(np.ones((2, 2))))
         with pytest.raises(ValueError):
             approximate_tensor(src, build_tree(2, "balanced"), 0.0)
-
-    def test_diagnostics_csv(self, rng, tmp_path):
-        tree = build_tree(3, "balanced")
-        X0 = random_htensor(tree, (3, 3, 4), 2, rng)
-        T0 = ht_full(X0)
-        src = ColumnSource.from_entry_oracle(dense_oracle(T0))
-        res = approximate_tensor(src, tree, 1e-8, rng=np.random.default_rng(12))
-        path = tmp_path / "diag.csv"
-        res.cross_diag.write_csv(path)
-        text = path.read_text()
-        assert "modes,rank,row_pivots,col_pivots,residual" in text
-        assert "entries_evaluated" in text
