@@ -175,11 +175,13 @@ class TestSurrogate:
                            rtol=1e-12)
 
     @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+    @given(st.lists(st.floats(-4.0, 4.0, allow_subnormal=False),
+                    min_size=3, max_size=3),
            st.integers(0, 2**32 - 1))
     def test_linearity_over_levels(self, tight_n2_l2, factors, seed):
         # every query of a surrogate with level tensors a_l X_l is the sum over
-        # l of a_l times the query of the surrogate that keeps level l alone
+        # l of a_l times the query of the surrogate that keeps level l alone;
+        # a subnormal a_l keeps only a few bits, so no relative bound holds there
         surrogate, _ = tight_n2_l2
         Y = np.random.default_rng(seed).uniform(-1, 1, (6, 2))
 
