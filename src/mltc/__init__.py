@@ -14,7 +14,8 @@ from .errors import (BudgetError, ConfigError, EllipticityError, PivotError,
                      SizeCapError)
 from .fem import (GridLevel, H1Frame, assemble, build_grid, delta_nodal,
                   delta_vector, functional_psi, h1_frame, prolongate,
-                  prolongation_matrix, seminorm_quadrature, solve_at)
+                  prolongation_matrix, seminorm_quadrature, solve_at,
+                  solve_ladder)
 from .fields import (CoefficientModel, eigenvalue, ellipticity_bounds, evaluate,
                      make_model)
 from .htensor import (DimensionTree, HTensor, build_tree, ht_coefficients,

@@ -2,17 +2,19 @@
 
 Exit codes: 0 success, 2 configuration error (an unknown config key or
 section, or a setting out of range), 3 budget abort, 4 loss of ellipticity
-(the coefficient is nonpositive at a collocation point of the build), 1
-internal error.  `run` writes levels.csv, errors.csv and report.txt into the
-output directory.  On exit 3 or 4 it writes levels.csv alone, with eps_level
-empty: the levels built so far, or every level of the finished build when only
-the reference build fails.  `sweep` writes one errors.csv row per level, and
-on exit 3 or 4 the rows of the levels finished so far.  A level whose cross
-approximation ends unconverged is kept (exit 0), and `run` names it, with its
-validation residual and target, on stderr and in report.txt; a level of the
-reference build is named the same way, as a "reference level", by `run` and,
-on stderr, by `sweep`, which names the levels of each swept build on stderr as
-well ("L=2 level 1").
+(the coefficient is nonpositive at a collocation point of a build or at a
+validation sample), 1 internal error.  `run` writes levels.csv, errors.csv and
+report.txt into the output directory.  On exit 3 or 4 it writes levels.csv
+alone, with eps_level empty: the levels built so far, or every level of the
+finished build when only the reference build or the validation fails.
+`sweep` writes one errors.csv row per level, and on exit 3 or 4 the rows of
+the levels finished so far.  A level whose cross approximation ends
+unconverged is kept (exit 0), and `run` names it, with its validation residual
+and target, on stderr and in report.txt; a level of the reference build is
+named the same way, as a "reference level", by `run` and, on stderr, by
+`sweep`, which names the levels of each swept build on stderr as well ("L=2
+level 1").  report.txt also lists, per level, the most PCG iterations a
+validation solve took (see driver.error_metrics).
 """
 
 from __future__ import annotations
@@ -143,16 +145,17 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     try:
         surrogate, diags = _build(cfg, model, cfg.max_level, cfg.seed)
         reference, ref_diags = _build_reference(cfg, model)
+        warnings = _unconverged(diags) + _unconverged(ref_diags, "reference")
+        for warning in warnings:
+            print(warning, file=sys.stderr)
+        metrics = error_metrics(surrogate, reference, samples=cfg.samples,
+                                seed=cfg.seed, per_level=True)
     except (BudgetError, EllipticityError) as err:
-        # a failed reference build keeps the levels of the finished main build
+        # a failed reference build or validation keeps the levels of the
+        # finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])
         _write_levels_csv(out_dir / "levels.csv", partial, [])
         return _abort(err)
-    warnings = _unconverged(diags) + _unconverged(ref_diags, "reference")
-    for warning in warnings:
-        print(warning, file=sys.stderr)
-    metrics = error_metrics(surrogate, reference, samples=cfg.samples,
-                            seed=cfg.seed, per_level=True)
     elapsed = time.perf_counter() - t0
 
     _write_levels_csv(out_dir / "levels.csv", diags, metrics.eps_level_u)
@@ -172,6 +175,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     lines.append(f"eps_ml[psi] = {metrics.eps_ml_psi:.6e}")
     if metrics.eps_e_psi is not None:
         lines.append(f"eps_E[psi]  = {metrics.eps_e_psi:.6e}")
+    lines.append("validation pcg iterations per level (0 LU, -1 fell back to LU): "
+                 + " ".join(str(k) for k in metrics.pcg_iterations))
     lines.append(f"total time: {elapsed:.1f}s")
     lines.append("")
     lines.extend(_environment_stamp())

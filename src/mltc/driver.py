@@ -31,7 +31,7 @@ from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
 from .errors import BudgetError, EllipticityError
 from .fem import (build_grid, functional_psi, h1_frame, prolongate,
-                  prolongation_matrix, solve_at)
+                  prolongation_matrix, solve_at, solve_ladder)
 from .fields import CoefficientModel
 from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
 
@@ -295,6 +295,9 @@ class ErrorMetrics:
     eps_level_u: list = field(default_factory=list)
     eps_e_u: float | None = None
     eps_e_psi: float | None = None
+    # per level, the most PCG iterations a sample's solve took: 0 where every
+    # sample was factorized, -1 where one fell back to the factorization
+    pcg_iterations: list = field(default_factory=list)
 
 
 def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
@@ -307,6 +310,13 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     compressed level interpolant against the exact level difference at the
     same samples.  With a reference surrogate (same model, higher level) the
     expectation errors are computed at the reference level.
+
+    Each sample's solves u_0(y), ..., u_L(y) come from one fem.solve_ladder
+    call, with or without `per_level`, so both report the same eps_ml.  The
+    ladder solves levels above fem.DIRECT_MAX_LEVEL by multigrid-preconditioned
+    CG, about 1e-13 relative from the sparse LU solve.  The build keeps
+    solve_at's LU: its counts and ranks pin one floating-point path, and such
+    a difference can move them.
     """
     if reference is not None:
         if reference.model != surrogate.model or reference.n_params != surrogate.n_params:
@@ -329,10 +339,12 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     num_psi = 0.0
     den_psi = 0.0
     num_level = np.zeros(L + 1)
+    counts = []         # per sample, the ladder's iteration count per level
     for i in range(samples):
+        counts.append([])
+        ladder = solve_ladder(Y[i], L, model, counts[-1])
+        u_direct = ladder[L]
         if per_level:
-            ladder = [solve_at(Y[i], lev, model) for lev in range(L + 1)]
-            u_direct = ladder[L]
             for lev in range(L + 1):
                 if lev == 0:
                     d_nodal = ladder[0]
@@ -341,8 +353,6 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
                 z_exact = h1_frame(lev).to_h1(d_nodal)
                 z_surr = surrogate._spatial[lev] @ coeffs[lev][i]
                 num_level[lev] += float(np.sum((z_surr - z_exact) ** 2))
-        else:
-            u_direct = solve_at(Y[i], L, model)
         diff = frame_top.to_h1(surr_nodal[i] - u_direct)
         num_ml += float(diff @ diff)
         zd = frame_top.to_h1(u_direct)
@@ -356,6 +366,8 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
         eps_ml_u=float(np.sqrt(num_ml / den)),
         eps_ml_psi=float(np.sqrt(num_psi / den_psi)),
         eps_level_u=(list(np.sqrt(num_level / den)) if per_level else []),
+        pcg_iterations=np.where((np.array(counts) < 0).any(axis=0), -1,
+                                np.max(counts, axis=0)).tolist(),
     )
     if reference is not None:
         L_ref = reference.max_level

@@ -30,6 +30,15 @@ rows scaled in place: the product orders the column indices within each row
 differently, and that order is the summation order of to_h1.  psi_vec is
 solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
 another path that differs by up to 2.5e-16 relative.
+
+There are two solvers.  solve_at factorizes A_l(y) with SuperLU, and the
+build uses it alone: its counts and ranks pin that floating-point path, and a
+solve that differs in the 13th digit can move the pivots of the cross
+approximation.  solve_ladder returns the whole nested ladder u_0(y), ...,
+u_L(y) that validation needs.  It factorizes the coarse levels as solve_at
+does and solves each finer level by multigrid-preconditioned CG started from
+the prolongated solution of the level below (nested iteration), several
+times faster than the LU from level 4 on.
 """
 
 from __future__ import annotations
@@ -123,11 +132,6 @@ class GridLevel:
             B.setflags(write=False)
             self._basis[model.terms] = B
         return B
-
-    def node_coords(self) -> np.ndarray:
-        t = np.arange(self.m) * self.h
-        xx, yy = np.meshgrid(t, t, indexing="xy")
-        return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
     def __repr__(self):
         return f"GridLevel({self.level}, n={self.n})"
@@ -233,14 +237,115 @@ def _factor_spd(A: sp.csc_matrix):
                 options=dict(SymmetricMode=True))
 
 
-def solve_at(y, level: int, model: CoefficientModel) -> np.ndarray:
-    """FE solution of -div(a(y) grad u) = 1 with zero boundary values."""
+def _stiffness_at(y, level: int, model: CoefficientModel) -> sp.csc_matrix:
+    """A_level(y), assembled from the grid's cached quadrature basis."""
     grid = build_grid(level)
     basis = grid.quad_basis(model)
-    A = assemble(grid, lambda pts: evaluate(model, y, basis=basis))
-    u = _factor_spd(A).solve(load_vector(level))
-    u[grid.boundary_mask] = 0.0
-    return u
+    return assemble(grid, lambda pts: evaluate(model, y, basis=basis))
+
+
+def _direct_solve(A: sp.csc_matrix, level: int):
+    """(u, factor): the sparse LU solve of A u = load, boundary values zeroed."""
+    lu = _factor_spd(A)
+    u = lu.solve(load_vector(level))
+    u[build_grid(level).boundary_mask] = 0.0
+    return u, lu
+
+
+def solve_at(y, level: int, model: CoefficientModel) -> np.ndarray:
+    """FE solution of -div(a(y) grad u) = 1 with zero boundary values."""
+    return _direct_solve(_stiffness_at(y, level, model), level)[0]
+
+
+# The ladder's solver, read at call time so that tests can change it.  Levels
+# up to DIRECT_MAX_LEVEL are factorized as in solve_at; each level above is
+# solved by CG preconditioned with one V(MG_SWEEPS, MG_SWEEPS) cycle of
+# MG_OMEGA-weighted Jacobi, to a residual of PCG_RTOL relative to the load.
+# A rung that has not converged after MAX_PCG_ITERATIONS is factorized.
+DIRECT_MAX_LEVEL = 3
+MG_SWEEPS = 2
+MG_OMEGA = 0.8
+PCG_RTOL = 1e-12
+MAX_PCG_ITERATIONS = 50
+
+
+def _v_cycle(ops, level: int, coarse_lu, r: np.ndarray) -> np.ndarray:
+    """One symmetric V-cycle for A_level e = r, from a zero initial guess.
+
+    ops[l] is (A_l as CSR, MG_OMEGA over its diagonal) at each multigrid
+    level; below the lowest of them the cycle solves with coarse_lu.
+    """
+    A, w = ops[level]
+    x = w * r
+    for _ in range(MG_SWEEPS - 1):
+        x += w * (r - A @ x)
+    rc = prolongation_matrix(level).T @ (r - A @ x)
+    rc[build_grid(level - 1).boundary_mask] = 0.0
+    ec = _v_cycle(ops, level - 1, coarse_lu, rc) if level - 1 in ops else coarse_lu.solve(rc)
+    e = prolongation_matrix(level) @ ec
+    e[build_grid(level).boundary_mask] = 0.0
+    x += e
+    for _ in range(MG_SWEEPS):
+        x += w * (r - A @ x)
+    return x
+
+
+def _pcg(ops, level: int, coarse_lu, b: np.ndarray, x: np.ndarray):
+    """(x, iterations) of multigrid-preconditioned CG from x, or (None, -1)."""
+    A = ops[level][0]
+    tol = PCG_RTOL * np.linalg.norm(b)
+    r = b - A @ x
+    z = _v_cycle(ops, level, coarse_lu, r)
+    p = z.copy()
+    rz = r @ z
+    for k in range(1, MAX_PCG_ITERATIONS + 1):
+        Ap = A @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if np.linalg.norm(r) <= tol:
+            return x, k
+        z = _v_cycle(ops, level, coarse_lu, r)
+        rz, rz_old = r @ z, rz
+        p *= rz / rz_old
+        p += z
+    return None, -1
+
+
+def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = None
+                 ) -> list[np.ndarray]:
+    """FE solutions u_0(y), ..., u_L(y) on the nested grids, by nested iteration.
+
+    Every level is assembled once, as in solve_at.  Levels up to
+    DIRECT_MAX_LEVEL are solved as solve_at solves them, bitwise; the factor
+    of the last of these is the coarse solve of the multigrid above it.  Each
+    higher level l starts from P_l u_{l-1} and runs multigrid-preconditioned
+    CG (the module constants above), whose V-cycle takes the ladder's own
+    A_{l-1}, ..., as its coarse operators and P_l and P_l^T as its transfers;
+    such a rung differs from solve_at by about 1e-13 relative.  A rung that
+    does not converge within MAX_PCG_ITERATIONS is solved as solve_at solves
+    it.  `iterations`, when given, receives one count per rung: the PCG
+    iterations, 0 for a factorized rung and -1 for a rung that fell back.
+    """
+    if iterations is None:
+        iterations = []
+    ladder, ops, coarse_lu = [], {}, None
+    for level in range(L + 1):
+        A = _stiffness_at(y, level, model)
+        if level <= DIRECT_MAX_LEVEL:
+            u, coarse_lu = _direct_solve(A, level)      # the last is the coarse solve
+            count = 0
+        else:
+            # A is symmetric, so its CSR view A.T multiplies as A does, faster
+            ops[level] = (A.T, MG_OMEGA / A.diagonal())
+            u, count = _pcg(ops, level, coarse_lu, load_vector(level),
+                            prolongation_matrix(level) @ ladder[-1])
+            if u is None:
+                u = _direct_solve(A, level)[0]
+            u[build_grid(level).boundary_mask] = 0.0
+        ladder.append(u)
+        iterations.append(count)
+    return ladder
 
 
 @lru_cache(maxsize=None)

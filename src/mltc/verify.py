@@ -84,6 +84,10 @@ def suite_fem():
     b = fem.seminorm_quadrature(dn, 2)
     if abs(a - b) > 1e-6 * b:
         return "H1 coordinate norm does not match quadrature"
+    for lev, u in enumerate(fem.solve_ladder(y, 5, m2)):
+        ref = fem.solve_at(y, lev, m2)
+        if np.linalg.norm(u - ref) > 1e-11 * np.linalg.norm(ref):
+            return f"solve_ladder differs from solve_at at level {lev}"
     return None
 
 

@@ -133,7 +133,10 @@ class TestRun:
                           "eps_e_psi"]
         errors = list(csv.DictReader(open(out / "errors.csv")))
         assert len(errors) == 1
-        assert (out / "report.txt").exists()
+        report = (out / "report.txt").read_text()
+        # levels 0 and 1 are factorized
+        assert "validation pcg iterations per level (0 LU, -1 fell back to LU): 0 0\n" \
+            in report
 
     def test_lambda_zero_run_is_exact(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="zero", max_level="2",
@@ -189,6 +192,20 @@ class TestRun:
         path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
         assert main(["run", str(path)]) == code
         assert calls == [1, 2]                        # max_level, then ref_level
+        levels = read_rows(tmp_path / "out" / "levels.csv")
+        assert [r["level"] for r in levels] == ["0", "1"]
+        assert all(int(r["pde_solves"]) > 0 for r in levels)
+        assert [r["eps_level"] for r in levels] == ["", ""]
+        assert not (tmp_path / "out" / "errors.csv").exists()
+
+    def test_failed_validation_keeps_levels(self, tmp_path, monkeypatch):
+        # a validation sample may leave the ellipticity range of a relaxed model
+        def fails(*args, **kwargs):
+            raise EllipticityError("coefficient is nonpositive at a quadrature point")
+
+        monkeypatch.setattr(cli, "error_metrics", fails)
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 4
         levels = read_rows(tmp_path / "out" / "levels.csv")
         assert [r["level"] for r in levels] == ["0", "1"]
         assert all(int(r["pde_solves"]) > 0 for r in levels)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mltc import cli, cross, driver
+from mltc import cli, cross, driver, fem
 from mltc.colloc import CollocationGrid
 from mltc.config import load_config
 from mltc.cross import ColumnSource
@@ -277,6 +277,47 @@ class TestErrorMetrics:
                                 per_level=False)
         # interpolation error only; N=2 exponential decay at degrees (1,1,0)
         assert metrics.eps_ml_u < 0.05
+
+
+def splu_ladder(y, L, model, iterations=None):
+    """solve_ladder's contract by one sparse LU solve per level."""
+    if iterations is not None:
+        iterations.extend([0] * (L + 1))
+    return [solve_at(y, level, model) for level in range(L + 1)]
+
+
+class TestValidationLadder:
+    # with the cut at 0, levels 1 and 2 of the L=2 build are solved by multigrid
+
+    def test_per_level_keeps_eps_ml(self, tight_n2_l2, monkeypatch):
+        surrogate, _ = tight_n2_l2
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 0)
+        top = error_metrics(surrogate, None, samples=6, seed=8, per_level=False)
+        full = error_metrics(surrogate, None, samples=6, seed=8, per_level=True)
+        assert top.eps_ml_u == full.eps_ml_u
+        assert top.eps_ml_psi == full.eps_ml_psi
+        assert top.pcg_iterations == full.pcg_iterations
+        assert top.pcg_iterations[0] == 0 and min(top.pcg_iterations[1:]) > 0
+
+    def test_matches_splu_reference(self, tight_n2_l2, monkeypatch):
+        surrogate, _ = tight_n2_l2
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 0)
+        got = error_metrics(surrogate, surrogate, samples=6, seed=8)
+        monkeypatch.setattr(driver, "solve_ladder", splu_ladder)
+        want = error_metrics(surrogate, surrogate, samples=6, seed=8)
+        assert want.pcg_iterations == [0, 0, 0]
+        for name in ("eps_ml_u", "eps_ml_psi", "eps_level_u"):
+            g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert np.all(np.abs(g - w) <= 1e-9 * w), name
+
+    def test_fallback_is_reported(self, tight_n2_l2, monkeypatch):
+        surrogate, _ = tight_n2_l2
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
+        monkeypatch.setattr(fem, "MAX_PCG_ITERATIONS", 1)
+        got = error_metrics(surrogate, None, samples=3, seed=8)
+        assert got.pcg_iterations == [0, 0, -1]
+        monkeypatch.setattr(driver, "solve_ladder", splu_ladder)
+        assert error_metrics(surrogate, None, samples=3, seed=8).eps_ml_u == got.eps_ml_u
 
 
 def assert_close(got, want, rtol=1e-12):

@@ -56,6 +56,13 @@ def coo_stiffness(grid, avals):
     return sp.coo_matrix((vals, (rows, cols)), shape=(grid.n, grid.n)).tocsc()
 
 
+def node_coords(grid):
+    """(n, 2) node coordinates in node order (index = iy * m + ix)."""
+    t = np.arange(grid.m) * grid.h
+    xx, yy = np.meshgrid(t, t, indexing="xy")
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
 def assert_bitwise_equal(A, B):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(A, name), getattr(B, name)
@@ -76,7 +83,7 @@ class TestGrid:
 
     def test_nested_nodes(self):
         coarse, fine = build_grid(1), build_grid(2)
-        cc, fc = coarse.node_coords(), fine.node_coords()
+        cc, fc = node_coords(coarse), node_coords(fine)
         fset = {tuple(np.round(p, 12)) for p in fc}
         assert all(tuple(np.round(p, 12)) in fset for p in cc)
 
@@ -217,10 +224,78 @@ class TestSolve:
         assert np.abs(u[build_grid(2).boundary_mask]).max() == 0.0
 
 
+LADDER_MODELS = {"affine": make_model("affine", "exponential", 3),
+                 "log-uniform": make_model("log-uniform", "slow-algebraic", 3)}
+
+
+def relative_error(u, ref):
+    return np.linalg.norm(u - ref) / np.linalg.norm(ref)
+
+
+class TestSolveLadder:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(LADDER_MODELS)),
+           hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           st.integers(0, 1), st.integers(0, 3))
+    def test_matches_solve_at(self, kind, y, cut, L):
+        # a low cut runs the multigrid on small levels, where it is cheap
+        model = LADDER_MODELS[kind]
+        counts = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "DIRECT_MAX_LEVEL", cut)
+            ladder = fem.solve_ladder(y, L, model, counts)
+        assert len(ladder) == len(counts) == L + 1
+        for level, u in enumerate(ladder):
+            ref = solve_at(y, level, model)
+            if level <= cut:
+                assert counts[level] == 0
+                assert u.tobytes() == ref.tobytes()
+            else:
+                assert 0 < counts[level] <= 15
+                assert relative_error(u, ref) <= 1e-11
+                assert np.abs(u[build_grid(level).boundary_mask]).max() == 0.0
+
+    def test_default_cut(self, rng):
+        model = LADDER_MODELS["affine"]
+        y = rng.uniform(-1, 1, 3)
+        counts = []
+        ladder = fem.solve_ladder(y, fem.DIRECT_MAX_LEVEL + 1, model, counts)
+        assert counts[:-1] == [0] * (fem.DIRECT_MAX_LEVEL + 1) and counts[-1] > 0
+        for level, u in enumerate(ladder[:-1]):
+            assert u.tobytes() == solve_at(y, level, model).tobytes()
+        assert relative_error(ladder[-1], solve_at(y, len(ladder) - 1, model)) <= 1e-11
+
+    @pytest.mark.parametrize("bad", range(4))
+    def test_nonpositive_coefficient_at_any_rung(self, bad, monkeypatch, rng):
+        # the coefficient turns negative at the quadrature points of one level
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
+        evaluate_ = fem.evaluate
+        n_points = build_grid(bad).quad_points.shape[0] * 4
+
+        def negative_at_bad(model, y, x=None, *, basis=None):
+            a = evaluate_(model, y, x, basis=basis)
+            return -a if a.size == n_points else a
+
+        monkeypatch.setattr(fem, "evaluate", negative_at_bad)
+        with pytest.raises(EllipticityError):
+            fem.solve_ladder(rng.uniform(-1, 1, 3), 3, LADDER_MODELS["affine"])
+
+    def test_unconverged_rung_falls_back_to_solve_at(self, monkeypatch, rng):
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
+        monkeypatch.setattr(fem, "MAX_PCG_ITERATIONS", 1)
+        model = LADDER_MODELS["log-uniform"]
+        y = rng.uniform(-1, 1, 3)
+        counts = []
+        ladder = fem.solve_ladder(y, 3, model, counts)
+        assert counts == [0, 0, -1, -1]
+        for level, u in enumerate(ladder):
+            assert u.tobytes() == solve_at(y, level, model).tobytes()
+
+
 class TestProlongation:
     def test_coincident_nodes_copy(self):
         coarse = build_grid(1)
-        xc = coarse.node_coords()
+        xc = node_coords(coarse)
         v = xc[:, 0] * (1 - xc[:, 0])
         fine_v = prolongate(v, 2)
         fine = build_grid(2)
@@ -230,9 +305,9 @@ class TestProlongation:
 
     def test_linear_function_midpoints(self):
         coarse, fine = build_grid(0), build_grid(1)
-        v = coarse.node_coords()[:, 0]
+        v = node_coords(coarse)[:, 0]
         fv = prolongate(v, 1)
-        assert np.allclose(fv, fine.node_coords()[:, 0])
+        assert np.allclose(fv, node_coords(fine)[:, 0])
 
     def test_energy_identity(self, rng):
         for level in (1, 2, 3):
