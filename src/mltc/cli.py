@@ -14,7 +14,8 @@ and target, on stderr and in report.txt; a level of the reference build is
 named the same way, as a "reference level", by `run` and, on stderr, by
 `sweep`, which names the levels of each swept build on stderr as well ("L=2
 level 1").  report.txt also lists, per level, the most PCG iterations a
-validation solve took (see driver.error_metrics).
+build fiber's solve and a validation solve took (see driver.run_ml and
+driver.error_metrics).
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     lines.append(f"eps_ml[psi] = {metrics.eps_ml_psi:.6e}")
     if metrics.eps_e_psi is not None:
         lines.append(f"eps_E[psi]  = {metrics.eps_e_psi:.6e}")
+    lines.append("build pcg iterations per level (0 LU, -1 fell back to LU): "
+                 + " ".join(str(d.pcg_iterations) for d in diags))
     lines.append("validation pcg iterations per level (0 LU, -1 fell back to LU): "
                  + " ".join(str(k) for k in metrics.pcg_iterations))
     lines.append(f"total time: {elapsed:.1f}s")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fem
 from .colloc import CollocationGrid
 from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
@@ -92,6 +93,9 @@ class LevelDiagnostics:
     fibers: int = 0
     pde_solves: int = 0          # FE solves the level's fibers need, reused or not
     solves_reused: int = 0       # of those, coarse solves taken from the previous level
+    # the most PCG iterations a fiber's top rung took: 0 at or below
+    # fem.DIRECT_MAX_LEVEL, -1 where a fiber's solve fell back to the LU
+    pcg_iterations: int = 0
     time_s: float = 0.0
     cross_residual: float = float("nan")
     converged: bool = False
@@ -205,9 +209,15 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     """Build the multilevel surrogate level by level.
 
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
-    feeds the three-step compression at accuracy eps_l.  When p(l) = p(l-1)
-    the two levels share their collocation nodes, and level l takes its
-    coarse solve u_{l-1}(y_k) from the fine solves level l-1 made.  Returns
+    feeds the three-step compression at accuracy eps_l.  A fiber at a level
+    l up to fem.DIRECT_MAX_LEVEL takes u_l(y_k) and u_{l-1}(y_k) from
+    solve_at's LU.  When p(l) = p(l-1) the two levels share their collocation
+    nodes, and such a level takes its coarse solve u_{l-1}(y_k) from the fine
+    solves level l-1 made.  A fiber above the cut takes both from one
+    fem.solve_ladder(y_k, l) call, the nested-iteration multigrid ladder that
+    validation uses too.  That ladder solves rung l-1 again, bitwise as level
+    l-1's own ladder did, so no solve is reused there and solves_reused is 0;
+    pde_solves still counts two solves per fiber.  Returns
     the surrogate and per-level diagnostics; a budget abort (BudgetError) or a
     coefficient that is nonpositive at a collocation point (EllipticityError)
     is raised with the diagnostics gathered so far attached as
@@ -235,21 +245,33 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag = LevelDiagnostics(level=level, degree=p, n_spatial=n_spatial,
                                 eps_target=eps_l)
         t0 = time.process_time()
-        solves = {} if level < L and plan.degrees[level + 1] == p else None
+        by_ladder = level > fem.DIRECT_MAX_LEVEL
+        # the next level reads these solves only at the same nodes and when
+        # it solves by LU itself
+        solves = ({} if level < min(L, fem.DIRECT_MAX_LEVEL)
+                  and plan.degrees[level + 1] == p else None)
         reused = set()
+        pcg = []            # per ladder fiber: its top rung's iterations, -1 on a fallback
 
         def fetch(j, level=level, nodes=grid.nodes, coarse=previous, solves=solves,
-                  reused=reused):
+                  reused=reused, pcg=pcg, by_ladder=by_ladder):
             y = nodes[list(j)]
-            u = solve_at(y, level, model)
-            if solves is not None:
-                solves[j] = u
+            if by_ladder:
+                counts = []
+                ladder = solve_ladder(y, level, model, counts)
+                pcg.append(-1 if min(counts[-2:]) < 0 else counts[-1])
+                u, u_coarse = ladder[level], ladder[level - 1]
+            else:
+                u = solve_at(y, level, model)
+                if solves is not None:
+                    solves[j] = u
+                if level:
+                    u_coarse = coarse.get(j)
+                    if u_coarse is None:
+                        u_coarse = solve_at(y, level - 1, model)
+                    else:
+                        reused.add(j)
             if level:
-                u_coarse = coarse.get(j)
-                if u_coarse is None:
-                    u_coarse = solve_at(y, level - 1, model)
-                else:
-                    reused.add(j)
                 u = u - prolongate(u_coarse, level)
             return h1_frame(level).to_h1(u)
 
@@ -267,6 +289,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
             diag.fibers = source.n_fetched
             diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
             diag.solves_reused = len(reused)
+            diag.pcg_iterations = -1 if min(pcg, default=0) < 0 else max(pcg, default=0)
         diag.step1_evals = result.step1_evals
         diag.step2_evals = result.step2_evals
         diag.cross_residual = result.cross_diag.validation_residual
@@ -314,9 +337,8 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     Each sample's solves u_0(y), ..., u_L(y) come from one fem.solve_ladder
     call, with or without `per_level`, so both report the same eps_ml.  The
     ladder solves levels above fem.DIRECT_MAX_LEVEL by multigrid-preconditioned
-    CG, about 1e-13 relative from the sparse LU solve.  The build keeps
-    solve_at's LU: its counts and ranks pin one floating-point path, and such
-    a difference can move them.
+    CG, about 1e-13 relative from the sparse LU solve; the build's fibers
+    above that level come from the same ladder (see run_ml).
     """
     if reference is not None:
         if reference.model != surrogate.model or reference.n_params != surrogate.n_params:

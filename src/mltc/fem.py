@@ -31,14 +31,16 @@ differently, and that order is the summation order of to_h1.  psi_vec is
 solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
 another path that differs by up to 2.5e-16 relative.
 
-There are two solvers.  solve_at factorizes A_l(y) with SuperLU, and the
-build uses it alone: its counts and ranks pin that floating-point path, and a
-solve that differs in the 13th digit can move the pivots of the cross
-approximation.  solve_ladder returns the whole nested ladder u_0(y), ...,
-u_L(y) that validation needs.  It factorizes the coarse levels as solve_at
-does and solves each finer level by multigrid-preconditioned CG started from
-the prolongated solution of the level below (nested iteration), several
-times faster than the LU from level 4 on.
+There are two solvers.  solve_at factorizes A_l(y) with SuperLU.
+solve_ladder returns the whole nested ladder u_0(y), ..., u_L(y).  It
+factorizes the levels up to DIRECT_MAX_LEVEL as solve_at does and solves each
+finer level by multigrid-preconditioned CG started from the prolongated
+solution of the level below (nested iteration), several times faster than
+the LU from level 4 on.  Validation takes all its solves from the ladder, and
+the build takes a fiber's two solves from it above DIRECT_MAX_LEVEL and from
+solve_at at or below it.  The build's counts and ranks pin both
+floating-point paths: a solve that differs in the 13th digit can move the
+pivots of the cross approximation.
 """
 
 from __future__ import annotations

@@ -134,7 +134,9 @@ class TestRun:
         errors = list(csv.DictReader(open(out / "errors.csv")))
         assert len(errors) == 1
         report = (out / "report.txt").read_text()
-        # levels 0 and 1 are factorized
+        # levels 0 and 1 are factorized, in the build and in validation
+        assert "build pcg iterations per level (0 LU, -1 fell back to LU): 0 0\n" \
+            in report
         assert "validation pcg iterations per level (0 LU, -1 fell back to LU): 0 0\n" \
             in report
 

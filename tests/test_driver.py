@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from mltc.driver import (LevelPlan, MLSurrogate, accuracy_schedule,
                          degree_schedule, error_metrics, prolongate_to, run_ml)
 from mltc.errors import EllipticityError
 from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame,
-                      prolongation_matrix, solve_at)
+                      prolongation_matrix, solve_at, solve_ladder)
 from mltc.fields import CoefficientModel, make_model
 from mltc.htensor import ht_coefficients, ht_entries
 
@@ -475,15 +476,21 @@ def test_one_sweep_leaves_levels_unconverged(monkeypatch):
 
 @pytest.fixture(scope="module")
 def exp_small_solves():
-    """exp-decay-small built as `mltc run` builds it, with every driver.solve_at call."""
+    """exp-decay-small built as `mltc run` builds it, with every driver.solve_at
+    and driver.solve_ladder call as (function, level, y bytes)."""
     calls = []
 
-    def counting(y, level, model):
-        calls.append((level, np.asarray(y, dtype=float).tobytes()))
+    def counting_at(y, level, model):
+        calls.append(("solve_at", level, np.asarray(y, dtype=float).tobytes()))
         return solve_at(y, level, model)
 
+    def counting_ladder(y, L, model, iterations=None):
+        calls.append(("solve_ladder", L, np.asarray(y, dtype=float).tobytes()))
+        return solve_ladder(y, L, model, iterations)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(driver, "solve_at", counting)
+        mp.setattr(driver, "solve_at", counting_at)
+        mp.setattr(driver, "solve_ladder", counting_ladder)
         surrogate, diags = build_config("exp-decay-small")
     return surrogate, diags, calls
 
@@ -491,11 +498,19 @@ def exp_small_solves():
 class TestSolveReuse:
     def test_solve_calls_match_accounting(self, exp_small_solves):
         _, diags, calls = exp_small_solves
-        assert len(calls) == sum(d.pde_solves - d.solves_reused for d in diags)
+        ladders = [c for c in calls if c[0] == "solve_ladder"]
+        # a ladder call gives its fiber both solves, u_l and u_{l-1}
+        assert len(calls) + len(ladders) == sum(d.pde_solves - d.solves_reused
+                                                for d in diags)
+        # only level 4 lies above DIRECT_MAX_LEVEL (3), and it has one fiber
+        assert [c[1] for c in ladders] == [4]
+        assert all(c[1] <= fem.DIRECT_MAX_LEVEL for c in calls if c[0] == "solve_at")
         assert sum(d.solves_reused for d in diags) == 208
         # degrees (2, 2, 1, 1, 0): levels 1 and 3 reuse the solves of levels 0
         # and 2 at the nodes those fetched
         assert [d.solves_reused for d in diags] == [0, 176, 0, 32, 0]
+        assert [d.pcg_iterations for d in diags][:4] == [0, 0, 0, 0]
+        assert diags[4].pcg_iterations > 0
         assert len(set(calls)) == len(calls)        # no (level, y) solved twice
 
     def test_reused_fibers_equal_fresh_differences(self, monkeypatch):
@@ -517,6 +532,73 @@ class TestSolveReuse:
             if level_of[n] < 2:
                 want = delta_vector(nodes[list(j)], level_of[n], EXP2)
                 assert col.tobytes() == want.tobytes()
+
+
+def tensor_digest(tensor):
+    """SHA-1 of a level tensor's leaf frames and transfer tensors."""
+    h = hashlib.sha1()
+    for frames in (tensor.leaf_frames, tensor.transfers):
+        for key in sorted(frames):
+            h.update(frames[key].tobytes())
+    return h.hexdigest()
+
+
+def level_summary(surrogate, diags):
+    """Per level: the tensor's SHA-1 and the counts and ranks of its build."""
+    return [(tensor_digest(rec.tensor), d.fibers, d.step1_evals, d.step2_evals,
+             d.pde_solves, d.r_max, d.storage) for rec, d in zip(surrogate.records, diags)]
+
+
+class TestBuildLadder:
+    # with the cut at 1, levels 2-4 of exp-decay-small take their fibers'
+    # solves from the multigrid ladder
+
+    def test_fibers_are_ladder_differences(self, monkeypatch):
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
+        fibers = {}
+
+        class Recording(ColumnSource):
+            def column(self, j):
+                col = super().column(j)
+                fibers[self.n_spatial, tuple(j)] = col
+                return col
+
+        monkeypatch.setattr(driver, "ColumnSource", Recording)
+        surrogate, diags = build_config("exp-decay-small")
+        model = surrogate.model
+        assert [d.pcg_iterations for d in diags[:2]] == [0, 0]
+        assert min(d.pcg_iterations for d in diags[2:]) > 0
+        assert [d.solves_reused for d in diags] == [0, 176, 0, 0, 0]
+        level_of = {build_grid(lev).n: lev for lev in range(5)}
+        checked = 0
+        for (n, j), col in fibers.items():
+            level = level_of[n]
+            if level <= 1:
+                continue
+            y = surrogate.records[level].grid.nodes[list(j)]
+            ladder = solve_ladder(y, level, model)
+            want = h1_frame(level).to_h1(
+                ladder[level] - prolongation_matrix(level) @ ladder[level - 1])
+            assert col.tobytes() == want.tobytes()
+            lu = delta_vector(y, level, model)
+            assert np.linalg.norm(col - lu) <= 1e-11 * np.linalg.norm(lu)
+            checked += 1
+        assert checked == sum(d.fibers for d in diags[2:])
+
+    def test_lu_fallback_is_the_direct_build(self, monkeypatch):
+        # with no PCG iteration allowed every rung falls back to the LU, so
+        # the solver is the only thing the ladder path changes
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
+        monkeypatch.setattr(fem, "MAX_PCG_ITERATIONS", 0)
+        surrogate, diags = build_config("exp-decay-small")
+        assert [d.pcg_iterations for d in diags] == [0, 0, -1, -1, -1]
+        monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", fem.MAX_LEVEL)
+        direct, direct_diags = build_config("exp-decay-small")
+        assert [d.pcg_iterations for d in direct_diags] == [0] * 5
+        assert level_summary(surrogate, diags) == level_summary(direct, direct_diags)
+        # levels above the cut reuse nothing; the direct build reuses at level 3
+        assert [d.solves_reused for d in diags] == [0, 176, 0, 0, 0]
+        assert [d.solves_reused for d in direct_diags] == [0, 176, 0, 32, 0]
 
 
 class TestEllipticityFailure:
