@@ -33,7 +33,7 @@ from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
 from .errors import BudgetError, EllipticityError
 from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at, solve_ladder)
-from .fields import CoefficientModel
+from .fields import CoefficientModel, check_parameters
 from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
 
 
@@ -147,10 +147,15 @@ class MLSurrogate:
         return ht_coefficients(X, rows, self.n_params)
 
     def coefficients(self, Y: np.ndarray) -> list[np.ndarray]:
-        """Per level, the (M, r_l) spatial-frame coefficients at samples Y (M, N)."""
+        """Per level, the (M, r_l) spatial-frame coefficients at samples Y (M, N).
+
+        Samples must be finite and lie in [-1, 1], as fields.evaluate
+        requires: the interpolant does not extrapolate.
+        """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.n_params:
             raise ValueError(f"samples must have {self.n_params} columns")
+        check_parameters(Y)
         return [self._level_coefficients(rec, {m: rec.grid.lagrange_weights_many(Y[:, m])
                                                for m in range(self.n_params)})
                 for rec in self.records]
@@ -211,13 +216,16 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
     feeds the three-step compression at accuracy eps_l.  A fiber at a level
     l up to fem.DIRECT_MAX_LEVEL takes u_l(y_k) and u_{l-1}(y_k) from
-    solve_at's LU.  When p(l) = p(l-1) the two levels share their collocation
+    solve_at's sparse LU, whose floating-point path these levels' counts and
+    ranks pin.  When p(l) = p(l-1) the two levels share their collocation
     nodes, and such a level takes its coarse solve u_{l-1}(y_k) from the fine
     solves level l-1 made.  A fiber above the cut takes both from one
     fem.solve_ladder(y_k, l) call, the nested-iteration multigrid ladder that
-    validation uses too.  That ladder solves rung l-1 again, bitwise as level
-    l-1's own ladder did, so no solve is reused there and solves_reused is 0;
-    pde_solves still counts two solves per fiber.  Returns
+    validation uses too; its rungs up to the cut, the coarse solve included,
+    are banded Cholesky solves, a few 1e-15 from solve_at.  That ladder
+    solves rung l-1 again, bitwise as level l-1's own ladder did, so no solve
+    is reused there and solves_reused is 0; pde_solves still counts two
+    solves per fiber.  Returns
     the surrogate and per-level diagnostics; a budget abort (BudgetError) or a
     coefficient that is nonpositive at a collocation point (EllipticityError)
     is raised with the diagnostics gathered so far attached as
@@ -336,9 +344,10 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
 
     Each sample's solves u_0(y), ..., u_L(y) come from one fem.solve_ladder
     call, with or without `per_level`, so both report the same eps_ml.  The
-    ladder solves levels above fem.DIRECT_MAX_LEVEL by multigrid-preconditioned
-    CG, about 1e-13 relative from the sparse LU solve; the build's fibers
-    above that level come from the same ladder (see run_ml).
+    ladder solves the levels up to fem.DIRECT_MAX_LEVEL by banded Cholesky,
+    a few 1e-15 relative from the sparse LU solve, and the levels above by
+    multigrid-preconditioned CG, about 1e-13 relative from it; the build's
+    fibers above that level come from the same ladder (see run_ml).
     """
     if reference is not None:
         if reference.model != surrogate.model or reference.n_params != surrogate.n_params:

@@ -15,7 +15,10 @@ order, then scipy's `sort_indices` within each column).  Floating-point
 addition is not associative, so another order, such as `np.bincount` or
 `np.add.reduceat`, changes the last bits of the stiffness, and through the
 pivots of the cross approximation its fibers, entries and ranks.  The sines of
-the coefficient at the quadrature points are cached per grid as well.
+the coefficient at the quadrature points are cached per grid as well, and so
+is the upper-triangle part of the gather map with its positions in LAPACK's
+band storage, from which assemble_band fills a band bitwise equal to the CSC
+stiffness.
 
 The H1 coordinate map is the sparse Cholesky factor R of the unit-coefficient
 stiffness: ||R c||_2 equals the H1_0 seminorm of the finite element function
@@ -31,16 +34,28 @@ differently, and that order is the summation order of to_h1.  psi_vec is
 solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
 another path that differs by up to 2.5e-16 relative.
 
-There are two solvers.  solve_at factorizes A_l(y) with SuperLU.
-solve_ladder returns the whole nested ladder u_0(y), ..., u_L(y).  It
-factorizes the levels up to DIRECT_MAX_LEVEL as solve_at does and solves each
-finer level by multigrid-preconditioned CG started from the prolongated
-solution of the level below (nested iteration), several times faster than
-the LU from level 4 on.  Validation takes all its solves from the ladder, and
-the build takes a fiber's two solves from it above DIRECT_MAX_LEVEL and from
-solve_at at or below it.  The build's counts and ranks pin both
-floating-point paths: a solve that differs in the 13th digit can move the
-pivots of the cross approximation.
+The FE solves use three solvers:
+
+    solver                      where                              factorization
+    solve_at                    build fibers at levels <= cut      SuperLU (pinned)
+    solve_ladder, rungs <= cut  validation; build fibers above it  banded Cholesky
+    solve_ladder, rungs > cut   validation; build fibers above it  multigrid PCG
+    fallback of a rung > cut    a PCG rung that did not converge   SuperLU
+    H1Frame                     H1 coordinates of every level      SuperLU
+
+where the cut is DIRECT_MAX_LEVEL.  solve_ladder returns the whole nested
+ladder u_0(y), ..., u_L(y).  It factorizes the levels up to the cut by
+LAPACK's banded Cholesky (dpbtrf) on an upper band filled straight from the
+element matrices: at these sizes (at most 1,089 unknowns) a solve, assembly
+included, is 3-6 times faster than with SuperLU and a few 1e-15 relative from
+it.  It solves each finer level by multigrid-preconditioned CG started from
+the prolongated solution of the level below (nested iteration), several
+times faster than the LU from level 4 on.  Validation takes all its solves from the ladder, and the build takes a
+fiber's two solves from it above the cut and from solve_at at or below it.
+solve_at keeps SuperLU: the build's counts and ranks pin both floating-point
+paths, and a solve that differs in the 13th digit can move the pivots of the
+cross approximation (moving solve_at to the banded solver changed the ranks
+of exp-decay-small's level 3).
 """
 
 from __future__ import annotations
@@ -50,6 +65,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .errors import EllipticityError
@@ -123,6 +139,11 @@ class GridLevel:
         """(indptr, indices, gather) of the assembled stiffness; see assemble()."""
         return _stiffness_pattern(self)
 
+    @cached_property
+    def band_pattern(self):
+        """(gather, positions) of the stiffness's upper band; see assemble_band()."""
+        return _band_pattern(self)
+
     def quad_basis(self, model: CoefficientModel) -> np.ndarray:
         """basis_values(model, ...) at the flattened quadrature points.
 
@@ -195,24 +216,72 @@ def _stiffness_pattern(grid: GridLevel):
     return out_indptr, indices, gather
 
 
-def assemble(grid: GridLevel, coefficient) -> sp.csc_matrix:
-    """Stiffness matrix for coefficient a(x); Dirichlet rows/columns set to identity.
+def _band_pattern(grid: GridLevel):
+    """Gather map and positions of the stiffness's upper band.
 
-    `coefficient` maps an (P, 2) array of points to P positive values.  The
-    result shares its read-only index arrays with the grid's cached pattern.
+    On the natural node order a Q1 stiffness couples node i with i +- 1,
+    i +- m and i +- m +- 1, so its upper triangle fits LAPACK's upper band
+    storage with kd = m + 1 superdiagonals: entry (i, j), i <= j, sits at row
+    kd + i - j, column j of a (kd + 1, n) band.  Returns the columns of
+    stiffness_pattern's gather map that belong to the upper triangle, and for
+    each its flat index into that band kept in Fortran order, as LAPACK reads
+    it.  Each band entry thus sums the same contributions in the same order
+    as the CSC stiffness, bitwise.
+    """
+    indptr, indices, gather = grid.stiffness_pattern
+    cols = np.repeat(np.arange(grid.n, dtype=np.int32), np.diff(indptr))
+    upper = indices <= cols
+    kd = grid.m + 1
+    positions = cols[upper].astype(np.intp) * (kd + 1) + (kd + indices[upper] - cols[upper])
+    gather = np.ascontiguousarray(gather[:, upper])
+    for a in (gather, positions):
+        a.setflags(write=False)
+    return gather, positions
+
+
+def _element_matrices(grid: GridLevel, coefficient) -> np.ndarray:
+    """Ke.ravel() followed by the padding -0.0 and the boundary 1.0.
+
+    The ids of _stiffness_pattern's gather map index this vector.
     """
     pts = grid.quad_points
     avals = np.asarray(coefficient(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
     if avals.min() <= 0.0:
         raise EllipticityError("coefficient is nonpositive at a quadrature point")
     Ke = np.einsum("eq,qij->eij", avals * 0.25, _GMATS)
-    indptr, indices, gather = grid.stiffness_pattern
     # x + (-0.0) == x for every float x, including -0.0, so the padding is exact
-    v = np.concatenate([Ke.ravel(), (-0.0, 1.0)])
-    data = ((v[gather[0]] + v[gather[1]]) + v[gather[2]]) + v[gather[3]]
+    return np.concatenate([Ke.ravel(), (-0.0, 1.0)])
+
+
+def _gather_sum(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    return ((v[gather[0]] + v[gather[1]]) + v[gather[2]]) + v[gather[3]]
+
+
+def assemble(grid: GridLevel, coefficient) -> sp.csc_matrix:
+    """Stiffness matrix for coefficient a(x); Dirichlet rows/columns set to identity.
+
+    `coefficient` maps an (P, 2) array of points to P positive values.  The
+    result shares its read-only index arrays with the grid's cached pattern.
+    """
+    indptr, indices, gather = grid.stiffness_pattern
+    data = _gather_sum(_element_matrices(grid, coefficient), gather)
     A = sp.csc_matrix((data, indices, indptr), shape=(grid.n, grid.n))
     A.has_canonical_format = True
     return A
+
+
+def assemble_band(grid: GridLevel, coefficient) -> np.ndarray:
+    """The upper band of assemble(grid, coefficient), (m + 2, n) in Fortran order.
+
+    Its entries are bitwise those of the CSC stiffness; no sparse matrix is
+    built.
+    """
+    gather, positions = grid.band_pattern
+    kd = grid.m + 1
+    band = np.zeros((kd + 1, grid.n), order="F")
+    band.ravel(order="K")[positions] = _gather_sum(
+        _element_matrices(grid, coefficient), gather)
+    return band
 
 
 @lru_cache(maxsize=None)
@@ -246,24 +315,57 @@ def _stiffness_at(y, level: int, model: CoefficientModel) -> sp.csc_matrix:
     return assemble(grid, lambda pts: evaluate(model, y, basis=basis))
 
 
-def _direct_solve(A: sp.csc_matrix, level: int):
-    """(u, factor): the sparse LU solve of A u = load, boundary values zeroed."""
-    lu = _factor_spd(A)
-    u = lu.solve(load_vector(level))
+def _direct_solve(A: sp.csc_matrix, level: int) -> np.ndarray:
+    """The sparse LU solve of A u = load, boundary values zeroed."""
+    u = _factor_spd(A).solve(load_vector(level))
     u[build_grid(level).boundary_mask] = 0.0
-    return u, lu
+    return u
 
 
 def solve_at(y, level: int, model: CoefficientModel) -> np.ndarray:
     """FE solution of -div(a(y) grad u) = 1 with zero boundary values."""
-    return _direct_solve(_stiffness_at(y, level, model), level)[0]
+    return _direct_solve(_stiffness_at(y, level, model), level)
+
+
+class _BandedCholesky:
+    """LAPACK's banded Cholesky factor (dpbtrf) of an upper band from assemble_band.
+
+    Raises ArithmeticError when the band is not positive definite; solve()
+    raises it when dpbtrs reports an error, so neither returns a vector then.
+    """
+
+    def __init__(self, band: np.ndarray):
+        self.factor, info = dpbtrf(band, overwrite_ab=1)
+        if info != 0:
+            raise ArithmeticError(f"banded Cholesky failed (dpbtrf info {info}): "
+                                  "the stiffness is not positive definite")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = dpbtrs(self.factor, b)
+        if info != 0:
+            raise ArithmeticError(f"banded Cholesky solve failed (dpbtrs info {info})")
+        return x
+
+
+def _banded_solve(y, level: int, model: CoefficientModel):
+    """(u, factor): solve_at's solution by banded Cholesky, boundary values zeroed.
+
+    A few 1e-15 relative from solve_at, not bitwise; see solve_ladder.
+    """
+    grid = build_grid(level)
+    basis = grid.quad_basis(model)
+    factor = _BandedCholesky(assemble_band(grid, lambda pts: evaluate(model, y, basis=basis)))
+    u = factor.solve(load_vector(level))
+    u[grid.boundary_mask] = 0.0
+    return u, factor
 
 
 # The ladder's solver, read at call time so that tests can change it.  Levels
-# up to DIRECT_MAX_LEVEL are factorized as in solve_at; each level above is
+# up to DIRECT_MAX_LEVEL are factorized by banded Cholesky; each level above is
 # solved by CG preconditioned with one V(MG_SWEEPS, MG_SWEEPS) cycle of
 # MG_OMEGA-weighted Jacobi, to a residual of PCG_RTOL relative to the load.
-# A rung that has not converged after MAX_PCG_ITERATIONS is factorized.
+# A rung that has not converged after MAX_PCG_ITERATIONS is factorized as in
+# solve_at.
 DIRECT_MAX_LEVEL = 3
 MG_SWEEPS = 2
 MG_OMEGA = 0.8
@@ -271,11 +373,11 @@ PCG_RTOL = 1e-12
 MAX_PCG_ITERATIONS = 50
 
 
-def _v_cycle(ops, level: int, coarse_lu, r: np.ndarray) -> np.ndarray:
+def _v_cycle(ops, level: int, coarse, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle for A_level e = r, from a zero initial guess.
 
     ops[l] is (A_l as CSR, MG_OMEGA over its diagonal) at each multigrid
-    level; below the lowest of them the cycle solves with coarse_lu.
+    level; below the lowest of them the cycle solves with the factor `coarse`.
     """
     A, w = ops[level]
     x = w * r
@@ -283,7 +385,7 @@ def _v_cycle(ops, level: int, coarse_lu, r: np.ndarray) -> np.ndarray:
         x += w * (r - A @ x)
     rc = prolongation_matrix(level).T @ (r - A @ x)
     rc[build_grid(level - 1).boundary_mask] = 0.0
-    ec = _v_cycle(ops, level - 1, coarse_lu, rc) if level - 1 in ops else coarse_lu.solve(rc)
+    ec = _v_cycle(ops, level - 1, coarse, rc) if level - 1 in ops else coarse.solve(rc)
     e = prolongation_matrix(level) @ ec
     e[build_grid(level).boundary_mask] = 0.0
     x += e
@@ -292,12 +394,12 @@ def _v_cycle(ops, level: int, coarse_lu, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pcg(ops, level: int, coarse_lu, b: np.ndarray, x: np.ndarray):
+def _pcg(ops, level: int, coarse, b: np.ndarray, x: np.ndarray):
     """(x, iterations) of multigrid-preconditioned CG from x, or (None, -1)."""
     A = ops[level][0]
     tol = PCG_RTOL * np.linalg.norm(b)
     r = b - A @ x
-    z = _v_cycle(ops, level, coarse_lu, r)
+    z = _v_cycle(ops, level, coarse, r)
     p = z.copy()
     rz = r @ z
     for k in range(1, MAX_PCG_ITERATIONS + 1):
@@ -307,7 +409,7 @@ def _pcg(ops, level: int, coarse_lu, b: np.ndarray, x: np.ndarray):
         r -= alpha * Ap
         if np.linalg.norm(r) <= tol:
             return x, k
-        z = _v_cycle(ops, level, coarse_lu, r)
+        z = _v_cycle(ops, level, coarse, r)
         rz, rz_old = r @ z, rz
         p *= rz / rz_old
         p += z
@@ -318,32 +420,36 @@ def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = N
                  ) -> list[np.ndarray]:
     """FE solutions u_0(y), ..., u_L(y) on the nested grids, by nested iteration.
 
-    Every level is assembled once, as in solve_at.  Levels up to
-    DIRECT_MAX_LEVEL are solved as solve_at solves them, bitwise; the factor
-    of the last of these is the coarse solve of the multigrid above it.  Each
+    Every level is assembled once.  Levels up to DIRECT_MAX_LEVEL are solved
+    as _banded_solve solves them, bitwise: their upper band is filled straight
+    from the element matrices and factorized by LAPACK's banded Cholesky,
+    with no sparse matrix built, which is 3-6 times faster than solve_at's
+    SuperLU at these sizes and a few 1e-15 relative from it.  The factor of
+    the last of these is the coarse solve of the multigrid above it.  Each
     higher level l starts from P_l u_{l-1} and runs multigrid-preconditioned
     CG (the module constants above), whose V-cycle takes the ladder's own
     A_{l-1}, ..., as its coarse operators and P_l and P_l^T as its transfers;
     such a rung differs from solve_at by about 1e-13 relative.  A rung that
     does not converge within MAX_PCG_ITERATIONS is solved as solve_at solves
-    it.  `iterations`, when given, receives one count per rung: the PCG
-    iterations, 0 for a factorized rung and -1 for a rung that fell back.
+    it, bitwise.  `iterations`, when given, receives one count per rung: the
+    PCG iterations, 0 for a factorized rung and -1 for a rung that fell back.
+    A band that is not positive definite raises ArithmeticError.
     """
     if iterations is None:
         iterations = []
-    ladder, ops, coarse_lu = [], {}, None
+    ladder, ops, coarse = [], {}, None
     for level in range(L + 1):
-        A = _stiffness_at(y, level, model)
         if level <= DIRECT_MAX_LEVEL:
-            u, coarse_lu = _direct_solve(A, level)      # the last is the coarse solve
+            u, coarse = _banded_solve(y, level, model)     # the last is the coarse solve
             count = 0
         else:
+            A = _stiffness_at(y, level, model)
             # A is symmetric, so its CSR view A.T multiplies as A does, faster
             ops[level] = (A.T, MG_OMEGA / A.diagonal())
-            u, count = _pcg(ops, level, coarse_lu, load_vector(level),
+            u, count = _pcg(ops, level, coarse, load_vector(level),
                             prolongation_matrix(level) @ ladder[-1])
             if u is None:
-                u = _direct_solve(A, level)[0]
+                u = _direct_solve(A, level)
             u[build_grid(level).boundary_mask] = 0.0
         ladder.append(u)
         iterations.append(count)

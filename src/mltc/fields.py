@@ -69,12 +69,18 @@ def basis_values(model: CoefficientModel, x) -> np.ndarray:
     return np.sin(ang1) * np.sin(ang2)
 
 
+def check_parameters(y) -> None:
+    """Raise ValueError unless every entry of y is finite and lies in [-1, 1]."""
+    # written so that a NaN fails it: abs(nan) > 1 is False, abs(nan) <= 1 too
+    if not np.all(np.abs(y) <= 1.0 + _Y_SLACK):
+        raise ValueError("parameters must be finite and lie in [-1, 1]")
+
+
 def _check_y(model, y):
     y = np.asarray(y, dtype=float)
     if y.shape != (model.terms,):
         raise ValueError(f"parameter vector must have length {model.terms}")
-    if np.any(np.abs(y) > 1.0 + _Y_SLACK):
-        raise ValueError("parameters must lie in [-1, 1]")
+    check_parameters(y)
     return np.clip(y, -1.0, 1.0)
 
 

@@ -211,6 +211,26 @@ class TestSurrogate:
         for i in range(7):
             assert np.isclose(psi[i], functional_psi(batch[i], 2), rtol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3.0, -1.0 - 1e-6])
+    def test_rejects_samples_outside_the_box(self, tight_n2_l2, bad):
+        # the interpolant would extrapolate, or return NaNs without saying so
+        surrogate, _ = tight_n2_l2
+        y = np.array([bad, 0.0])
+        for query in (surrogate.evaluate, surrogate.coefficients):
+            with pytest.raises(ValueError):
+                query(y)
+        Y = np.array([[0.1, 0.2], [0.0, bad]])
+        for query in (surrogate.evaluate_batch, surrogate.psi_batch):
+            with pytest.raises(ValueError):
+                query(Y)
+
+    def test_accepts_the_corners_within_slack(self, tight_n2_l2):
+        surrogate, _ = tight_n2_l2
+        Y = np.array([[1.0, -1.0], [1.0 + 1e-12, -1.0 - 1e-12]])
+        batch = surrogate.evaluate_batch(Y)
+        assert np.all(np.isfinite(batch))
+        assert np.allclose(batch[0], batch[1], rtol=1e-9)
+
 
 class TestExpectation:
     def test_two_point_rule_is_exact_for_linear(self):
@@ -586,8 +606,8 @@ class TestBuildLadder:
         assert checked == sum(d.fibers for d in diags[2:])
 
     def test_lu_fallback_is_the_direct_build(self, monkeypatch):
-        # with no PCG iteration allowed every rung falls back to the LU, so
-        # the solver is the only thing the ladder path changes
+        # with no PCG iteration allowed every rung above the cut falls back to
+        # solve_at's LU, so the solver is the only thing the ladder path changes
         monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
         monkeypatch.setattr(fem, "MAX_PCG_ITERATIONS", 0)
         surrogate, diags = build_config("exp-decay-small")
@@ -595,7 +615,15 @@ class TestBuildLadder:
         monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", fem.MAX_LEVEL)
         direct, direct_diags = build_config("exp-decay-small")
         assert [d.pcg_iterations for d in direct_diags] == [0] * 5
-        assert level_summary(surrogate, diags) == level_summary(direct, direct_diags)
+        got, want = level_summary(surrogate, diags), level_summary(direct, direct_diags)
+        # levels 0-1 are built by solve_at, and levels 3-4 take both solves of
+        # a fiber from fallback rungs, bitwise solve_at
+        assert got[:2] == want[:2] and got[3:] == want[3:]
+        # level 2's coarse solves are the ladder's banded rung 1, about 1e-15
+        # from the LU: its tensor moves in the last bits, but its fibers,
+        # step1, pde_solves and r_max stay
+        keep = (1, 2, 4, 5)
+        assert [got[2][k] for k in keep] == [want[2][k] for k in keep]
         # levels above the cut reuse nothing; the direct build reuses at level 3
         assert [d.solves_reused for d in diags] == [0, 176, 0, 0, 0]
         assert [d.solves_reused for d in direct_diags] == [0, 176, 0, 32, 0]

@@ -223,6 +223,15 @@ class TestSolve:
         u = solve_at(np.array([0.3, -0.8, 0.5]), 2, model)
         assert np.abs(u[build_grid(2).boundary_mask]).max() == 0.0
 
+    def test_non_finite_parameter_rejected(self):
+        # before the factorization, not as a singular factor inside it
+        model = make_model("affine", "exponential", 3)
+        y = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            solve_at(y, 1, model)
+        with pytest.raises(ValueError, match="finite"):
+            fem.solve_ladder(y, 1, model)
+
 
 LADDER_MODELS = {"affine": make_model("affine", "exponential", 3),
                  "log-uniform": make_model("log-uniform", "slow-algebraic", 3)}
@@ -230,6 +239,81 @@ LADDER_MODELS = {"affine": make_model("affine", "exponential", 3),
 
 def relative_error(u, ref):
     return np.linalg.norm(u - ref) / np.linalg.norm(ref)
+
+
+def banded_rung(y, level, model):
+    return fem._banded_solve(y, level, model)[0]
+
+
+def test_band_is_the_upper_triangle_of_the_stiffness():
+    # every band entry sums the same contributions as the CSC stiffness
+    model = LADDER_MODELS["log-uniform"]
+    y = np.array([0.3, -0.9, 0.6])
+    for level in range(4):
+        grid = build_grid(level)
+        coefficient = lambda pts: evaluate(model, y, pts)
+        A = assemble(grid, coefficient).toarray()
+        band = fem.assemble_band(grid, coefficient)
+        kd = grid.m + 1
+        assert band.shape == (kd + 1, grid.n) and band.flags.f_contiguous
+        i, j = np.triu_indices(grid.n)
+        inside = j - i <= kd
+        assert np.abs(A[i[~inside], j[~inside]]).max() == 0.0
+        i, j = i[inside], j[inside]
+        assert A[i, j].tobytes() == band[kd + i - j, j].tobytes()
+        outside = np.ones(band.shape, dtype=bool)
+        outside[kd + i - j, j] = False
+        assert np.abs(band[outside]).max() == 0.0
+
+
+class TestBandedRung:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(LADDER_MODELS)),
+           hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           st.integers(0, 3))
+    def test_close_to_solve_at(self, kind, y, level):
+        model = LADDER_MODELS[kind]
+        u = banded_rung(y, level, model)
+        assert relative_error(u, solve_at(y, level, model)) <= 1e-13
+        assert np.abs(u[build_grid(level).boundary_mask]).max() == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(LADDER_MODELS)),
+           hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           st.integers(0, 3))
+    def test_residual(self, kind, y, level):
+        model = LADDER_MODELS[kind]
+        A = fem._stiffness_at(y, level, model)
+        b = fem.load_vector(level)
+        u = banded_rung(y, level, model)
+        assert np.linalg.norm(A @ u - b) <= 1e-13 * np.linalg.norm(b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(LADDER_MODELS)),
+           hnp.arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)),
+           st.integers(0, 3), st.data())
+    def test_indefinite_band_raises(self, kind, y, level, data):
+        # one negated interior diagonal: e_i^T A e_i < 0, so A is indefinite
+        model = LADDER_MODELS[kind]
+        grid = build_grid(level)
+        node = data.draw(st.sampled_from(np.flatnonzero(~grid.boundary_mask).tolist()))
+        assemble_band = fem.assemble_band
+
+        def negated(grid_, coefficient):
+            # the ladder's lower rungs stay intact
+            band = assemble_band(grid_, coefficient)
+            if grid_ is grid:
+                band[grid.m + 1, node] *= -1.0
+            return band
+
+        returned = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "assemble_band", negated)
+            with pytest.raises(ArithmeticError):
+                returned.append(fem._banded_solve(y, level, model))
+            with pytest.raises(ArithmeticError):
+                returned.append(fem.solve_ladder(y, level, model))
+        assert returned == []
 
 
 class TestSolveLadder:
@@ -249,7 +333,8 @@ class TestSolveLadder:
             ref = solve_at(y, level, model)
             if level <= cut:
                 assert counts[level] == 0
-                assert u.tobytes() == ref.tobytes()
+                assert u.tobytes() == banded_rung(y, level, model).tobytes()
+                assert relative_error(u, ref) <= 1e-13
             else:
                 assert 0 < counts[level] <= 15
                 assert relative_error(u, ref) <= 1e-11
@@ -262,7 +347,8 @@ class TestSolveLadder:
         ladder = fem.solve_ladder(y, fem.DIRECT_MAX_LEVEL + 1, model, counts)
         assert counts[:-1] == [0] * (fem.DIRECT_MAX_LEVEL + 1) and counts[-1] > 0
         for level, u in enumerate(ladder[:-1]):
-            assert u.tobytes() == solve_at(y, level, model).tobytes()
+            assert u.tobytes() == banded_rung(y, level, model).tobytes()
+            assert relative_error(u, solve_at(y, level, model)) <= 1e-13
         assert relative_error(ladder[-1], solve_at(y, len(ladder) - 1, model)) <= 1e-11
 
     @pytest.mark.parametrize("bad", range(4))
@@ -289,7 +375,10 @@ class TestSolveLadder:
         ladder = fem.solve_ladder(y, 3, model, counts)
         assert counts == [0, 0, -1, -1]
         for level, u in enumerate(ladder):
-            assert u.tobytes() == solve_at(y, level, model).tobytes()
+            if level <= 1:
+                assert u.tobytes() == banded_rung(y, level, model).tobytes()
+            else:
+                assert u.tobytes() == solve_at(y, level, model).tobytes()
 
 
 class TestProlongation:

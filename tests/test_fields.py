@@ -49,6 +49,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, np.array([1.5, 0.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters(self, bad):
+        # abs(nan) > 1 is False, so the range test alone lets a NaN through
+        for kind in ("affine", "log-uniform"):
+            model = make_model(kind, "exponential", 2)
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(model, np.array([bad, 0.0]), np.array([0.5, 0.5]))
+
     def test_affine_in_each_parameter(self, rng):
         model = make_model("affine", "fast-algebraic", 3)
         x = np.array([0.37, 0.81])
