@@ -3,7 +3,7 @@ diffusion coefficients: a Q1 finite-element hierarchy on the unit square,
 Chebyshev collocation in the parameters, and hierarchical-tensor cross
 approximation of the inter-level solution differences."""
 
-from .colloc import CollocationGrid, chebyshev_nodes, stability_constant
+from .colloc import CollocationGrid, chebyshev_nodes
 from .config import ExperimentConfig, load_config
 from .cross import (ApproxResult, ColumnSource, EntryOracle, EvalBudget,
                     TrainingSet, approximate_tensor, build_training_set,

@@ -1,7 +1,8 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
 Exit codes: 0 success, 2 configuration error (an unknown config key or
-section, or a setting out of range), 3 budget abort, 4 loss of ellipticity
+section, a setting out of range, or more terms than a build's step-2 index
+can hold, found before any build), 3 budget abort, 4 loss of ellipticity
 (the coefficient is nonpositive at a collocation point of a build or at a
 validation sample), 1 internal error.  `run` writes levels.csv, errors.csv and
 report.txt into the output directory.  On exit 3 or 4 it writes levels.csv
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import os
 import platform
 import sys
 import time
@@ -33,10 +35,10 @@ import scipy
 
 from . import verify
 from .config import ExperimentConfig, load_config
-from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, error_metrics,
-                     run_ml)
+from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, degree_schedule,
+                     error_metrics, run_ml)
 from .errors import BudgetError, ConfigError, EllipticityError
-from .fem import MAX_LEVEL
+from .fem import MAX_LEVEL, build_grid
 from .fields import make_model
 
 LEVEL_COLUMNS = ["level", "degree", "n", "r_eff", "r_max", "step1", "step2",
@@ -65,7 +67,9 @@ def _environment_stamp() -> list[str]:
     return [
         f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}",
         f"platform {platform.platform()}",
-        "timing mode: cpu",
+        "BLAS threads: " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS")),
         f"generated {datetime.datetime.now().isoformat(timespec='seconds')}",
     ]
 
@@ -119,6 +123,19 @@ def _config_echo(cfg: ExperimentConfig) -> list[str]:
     ]
 
 
+def _check_index_range(cfg: ExperimentConfig, max_levels) -> None:
+    """Reject builds whose step-2 entries, (p + 1)^terms parameter indices times
+    at most min(rank_cap, n) spatial ones, outgrow a flat np.intp index."""
+    for L in max_levels:
+        for level, p in enumerate(degree_schedule(L)):
+            ranks = min(cfg.rank_cap, build_grid(level).n)
+            if (p + 1) ** cfg.terms * ranks > np.iinfo(np.intp).max:
+                raise ConfigError(
+                    f"terms = {cfg.terms} is too many at level {level} of the build to "
+                    f"level {L}: {p + 1}^{cfg.terms} x {ranks} step-2 entries outgrow "
+                    "a flat np.intp index")
+
+
 def _build(cfg: ExperimentConfig, model, level: int, seed: int
            ) -> tuple[MLSurrogate, list[LevelDiagnostics]]:
     """run_ml up to `level` with the config's build settings."""
@@ -138,6 +155,7 @@ def _build_reference(cfg: ExperimentConfig, model
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
+    _check_index_range(cfg, {cfg.max_level, cfg.ref_level or cfg.max_level})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
@@ -198,6 +216,7 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     ref_level = cfg.ref_level if cfg.ref_level is not None else levels[-1] + 1
     if not levels[-1] < ref_level <= MAX_LEVEL:
         raise ConfigError(f"ref_level must be in (largest sweep level, {MAX_LEVEL}]")
+    _check_index_range(cfg, levels + [ref_level])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)

@@ -61,13 +61,3 @@ class CollocationGrid:
 
     def __repr__(self):
         return f"CollocationGrid(p={self.p})"
-
-
-def stability_constant(degrees) -> float:
-    """prod_i (2/pi * log(p_i + 1) + 1); interpolation stability diagnostic."""
-    out = 1.0
-    for p in degrees:
-        if p < 0:
-            raise ValueError("degrees must be nonnegative")
-        out *= 2.0 / math.pi * math.log(p + 1) + 1.0
-    return out

@@ -216,16 +216,14 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
     feeds the three-step compression at accuracy eps_l.  A fiber at a level
     l up to fem.DIRECT_MAX_LEVEL takes u_l(y_k) and u_{l-1}(y_k) from
-    solve_at's sparse LU, whose floating-point path these levels' counts and
-    ranks pin.  When p(l) = p(l-1) the two levels share their collocation
+    solve_at.  When p(l) = p(l-1) the two levels share their collocation
     nodes, and such a level takes its coarse solve u_{l-1}(y_k) from the fine
     solves level l-1 made.  A fiber above the cut takes both from one
-    fem.solve_ladder(y_k, l) call, the nested-iteration multigrid ladder that
-    validation uses too; its rungs up to the cut, the coarse solve included,
-    are banded Cholesky solves, a few 1e-15 from solve_at.  That ladder
-    solves rung l-1 again, bitwise as level l-1's own ladder did, so no solve
-    is reused there and solves_reused is 0; pde_solves still counts two
-    solves per fiber.  Returns
+    fem.solve_ladder(y_k, l) call, the ladder that validation uses too.  That
+    ladder solves rung l-1 again, so no solve is reused there and
+    solves_reused is 0; pde_solves still counts two solves per fiber.  The
+    table in fem's module docstring gives each solver's distance from
+    solve_at and the bitwise rules that pin these counts.  Returns
     the surrogate and per-level diagnostics; a budget abort (BudgetError) or a
     coefficient that is nonpositive at a collocation point (EllipticityError)
     is raised with the diagnostics gathered so far attached as
@@ -280,7 +278,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
                     else:
                         reused.add(j)
             if level:
-                u = u - prolongate(u_coarse, level)
+                u = u - prolongate(u_coarse, level - 1, level)
             return h1_frame(level).to_h1(u)
 
         source = ColumnSource((p + 1,) * n_params, n_spatial, fetch, budget=budget)
@@ -310,13 +308,6 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     return MLSurrogate(model, n_params, plan, records), diags
 
 
-def prolongate_to(v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-    out = v
-    for lev in range(from_level + 1, to_level + 1):
-        out = prolongation_matrix(lev) @ out
-    return out
-
-
 @dataclass
 class ErrorMetrics:
     samples: int
@@ -343,11 +334,8 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     expectation errors are computed at the reference level.
 
     Each sample's solves u_0(y), ..., u_L(y) come from one fem.solve_ladder
-    call, with or without `per_level`, so both report the same eps_ml.  The
-    ladder solves the levels up to fem.DIRECT_MAX_LEVEL by banded Cholesky,
-    a few 1e-15 relative from the sparse LU solve, and the levels above by
-    multigrid-preconditioned CG, about 1e-13 relative from it; the build's
-    fibers above that level come from the same ladder (see run_ml).
+    call, with or without `per_level`, so both report the same eps_ml; the
+    table in fem's module docstring gives their distance from solve_at.
     """
     if reference is not None:
         if reference.model != surrogate.model or reference.n_params != surrogate.n_params:
@@ -380,7 +368,7 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
                 if lev == 0:
                     d_nodal = ladder[0]
                 else:
-                    d_nodal = ladder[lev] - prolongation_matrix(lev) @ ladder[lev - 1]
+                    d_nodal = ladder[lev] - prolongate(ladder[lev - 1], lev - 1, lev)
                 z_exact = h1_frame(lev).to_h1(d_nodal)
                 z_surr = surrogate._spatial[lev] @ coeffs[lev][i]
                 num_level[lev] += float(np.sum((z_surr - z_exact) ** 2))
@@ -403,7 +391,7 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
     if reference is not None:
         L_ref = reference.max_level
         frame_ref = h1_frame(L_ref)
-        e_surr = prolongate_to(surrogate.expectation(), L, L_ref)
+        e_surr = prolongate(surrogate.expectation(), L, L_ref)
         e_ref = reference.expectation()
         z_ref = frame_ref.to_h1(e_ref)
         metrics.eps_e_u = float(np.linalg.norm(frame_ref.to_h1(e_surr - e_ref))

@@ -34,28 +34,30 @@ differently, and that order is the summation order of to_h1.  psi_vec is
 solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
 another path that differs by up to 2.5e-16 relative.
 
-The FE solves use three solvers:
+The FE solves use three solvers; this table is the one place that states
+their speeds and distances (cut = DIRECT_MAX_LEVEL):
 
-    solver                      where                              factorization
-    solve_at                    build fibers at levels <= cut      SuperLU (pinned)
-    solve_ladder, rungs <= cut  validation; build fibers above it  banded Cholesky
-    solve_ladder, rungs > cut   validation; build fibers above it  multigrid PCG
-    fallback of a rung > cut    a PCG rung that did not converge   SuperLU
-    H1Frame                     H1 coordinates of every level      SuperLU
+    solver                      where                              factorization     from solve_at
+    solve_at                    build fibers at levels <= cut      SuperLU (pinned)  -
+    solve_ladder, rungs <= cut  validation; build fibers above it  banded Cholesky   a few 1e-15
+    solve_ladder, rungs > cut   validation; build fibers above it  multigrid PCG     about 1e-13
+    fallback of a rung > cut    a PCG rung that did not converge   SuperLU           bitwise
+    H1Frame                     H1 coordinates of every level      SuperLU           -
 
-where the cut is DIRECT_MAX_LEVEL.  solve_ladder returns the whole nested
-ladder u_0(y), ..., u_L(y).  It factorizes the levels up to the cut by
-LAPACK's banded Cholesky (dpbtrf) on an upper band filled straight from the
-element matrices: at these sizes (at most 1,089 unknowns) a solve, assembly
-included, is 3-6 times faster than with SuperLU and a few 1e-15 relative from
-it.  It solves each finer level by multigrid-preconditioned CG started from
-the prolongated solution of the level below (nested iteration), several
-times faster than the LU from level 4 on.  Validation takes all its solves from the ladder, and the build takes a
-fiber's two solves from it above the cut and from solve_at at or below it.
-solve_at keeps SuperLU: the build's counts and ranks pin both floating-point
-paths, and a solve that differs in the 13th digit can move the pivots of the
-cross approximation (moving solve_at to the banded solver changed the ranks
-of exp-decay-small's level 3).
+solve_ladder returns the whole nested ladder u_0(y), ..., u_L(y).  It
+factorizes the rungs up to the cut by LAPACK's banded Cholesky (dpbtrf) on an
+upper band filled straight from the element matrices: at these sizes (at most
+1,089 unknowns) a solve, assembly included, is 3-6 times faster than with
+SuperLU, with one BLAS thread.  It solves each finer rung by
+multigrid-preconditioned CG started from the prolongated rung below (nested
+iteration), several times faster than the LU from level 4 on.  Bitwise
+rules: a banded rung equals _banded_solve, a fallback rung equals solve_at,
+and rung l of a ladder does not depend on how far the ladder goes, so the
+ladder a build fiber at level l solves repeats rung l - 1 of level l - 1's
+ladders exactly.  solve_at keeps SuperLU: the build's counts and ranks pin
+both floating-point paths, and a solve that differs in the 13th digit can
+move the pivots of the cross approximation (moving solve_at to the banded
+solver changed the ranks of exp-decay-small's level 3).
 """
 
 from __future__ import annotations
@@ -91,13 +93,8 @@ def _grad_ref(xi, eta):
     ])
 
 
-def _shape_ref(xi, eta):
-    return np.array([(1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta])
-
-
 _GRADS = np.array([_grad_ref(*q) for q in _QPTS])            # (4, 4, 2)
 _GMATS = np.einsum("qid,qjd->qij", _GRADS, _GRADS)           # (4, 4, 4)
-_SHAPES = np.array([_shape_ref(*q) for q in _QPTS])          # (4, 4)
 
 
 class GridLevel:
@@ -286,20 +283,25 @@ def assemble_band(grid: GridLevel, coefficient) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def mass_vector(level: int) -> np.ndarray:
-    """Integrals of the nodal basis functions (boundary nodes included)."""
+    """Integrals of the nodal basis functions (boundary nodes included), read-only.
+
+    The outer product of the 1-D trapezoid weights (h/2, h, ..., h, h/2).
+    """
     grid = build_grid(level)
-    m = np.zeros(grid.n)
-    contrib = grid.h**2 * 0.25 * _SHAPES.sum(axis=0)   # = h^2/4 per corner
-    np.add.at(m, grid.elements.ravel(), np.tile(contrib, grid.elements.shape[0]))
+    w = np.full(grid.m, grid.h)
+    w[[0, -1]] = grid.h / 2
+    m = np.outer(w, w).ravel()
+    m.setflags(write=False)
     return m
 
 
 @lru_cache(maxsize=None)
 def load_vector(level: int) -> np.ndarray:
-    """Right-hand side for f = 1 with zero Dirichlet values."""
+    """Right-hand side for f = 1 with zero Dirichlet values, read-only."""
     grid = build_grid(level)
     b = mass_vector(level).copy()
     b[grid.boundary_mask] = 0.0
+    b.setflags(write=False)
     return b
 
 
@@ -348,10 +350,7 @@ class _BandedCholesky:
 
 
 def _banded_solve(y, level: int, model: CoefficientModel):
-    """(u, factor): solve_at's solution by banded Cholesky, boundary values zeroed.
-
-    A few 1e-15 relative from solve_at, not bitwise; see solve_ladder.
-    """
+    """(u, factor): solve_at's solution by banded Cholesky, boundary values zeroed."""
     grid = build_grid(level)
     basis = grid.quad_basis(model)
     factor = _BandedCholesky(assemble_band(grid, lambda pts: evaluate(model, y, basis=basis)))
@@ -421,19 +420,16 @@ def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = N
     """FE solutions u_0(y), ..., u_L(y) on the nested grids, by nested iteration.
 
     Every level is assembled once.  Levels up to DIRECT_MAX_LEVEL are solved
-    as _banded_solve solves them, bitwise: their upper band is filled straight
-    from the element matrices and factorized by LAPACK's banded Cholesky,
-    with no sparse matrix built, which is 3-6 times faster than solve_at's
-    SuperLU at these sizes and a few 1e-15 relative from it.  The factor of
+    as _banded_solve solves them, with no sparse matrix built; the factor of
     the last of these is the coarse solve of the multigrid above it.  Each
     higher level l starts from P_l u_{l-1} and runs multigrid-preconditioned
     CG (the module constants above), whose V-cycle takes the ladder's own
-    A_{l-1}, ..., as its coarse operators and P_l and P_l^T as its transfers;
-    such a rung differs from solve_at by about 1e-13 relative.  A rung that
-    does not converge within MAX_PCG_ITERATIONS is solved as solve_at solves
-    it, bitwise.  `iterations`, when given, receives one count per rung: the
-    PCG iterations, 0 for a factorized rung and -1 for a rung that fell back.
-    A band that is not positive definite raises ArithmeticError.
+    A_{l-1}, ..., as its coarse operators and P_l and P_l^T as its transfers.
+    A rung that does not converge within MAX_PCG_ITERATIONS is solved as
+    solve_at solves it.  The module table gives each rung's speed and its
+    distance from solve_at.  `iterations`, when given, receives one count per
+    rung: the PCG iterations, 0 for a factorized rung and -1 for a rung that
+    fell back.  A band that is not positive definite raises ArithmeticError.
     """
     if iterations is None:
         iterations = []
@@ -447,7 +443,7 @@ def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = N
             # A is symmetric, so its CSR view A.T multiplies as A does, faster
             ops[level] = (A.T, MG_OMEGA / A.diagonal())
             u, count = _pcg(ops, level, coarse, load_vector(level),
-                            prolongation_matrix(level) @ ladder[-1])
+                            prolongate(ladder[-1], level - 1, level))
             if u is None:
                 u = _direct_solve(A, level)
             u[build_grid(level).boundary_mask] = 0.0
@@ -458,55 +454,31 @@ def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = N
 
 @lru_cache(maxsize=None)
 def prolongation_matrix(level: int) -> sp.csr_matrix:
-    """Exact embedding of level-1 functions into the level grid."""
+    """Exact embedding of level-1 functions into the level grid, index and data read-only.
+
+    On the node order iy * m + ix it is the Kronecker square of 1-D linear
+    interpolation p: column j of p is (1/2, 1, 1/2) at fine nodes 2j - 1, 2j, 2j + 1.
+    """
     if level < 1:
         raise ValueError("prolongation needs level >= 1")
-    fine, coarse = build_grid(level), build_grid(level - 1)
-    mf, mc = fine.m, coarse.m
-    rows, cols, vals = [], [], []
-    ix, iy = np.meshgrid(np.arange(mf), np.arange(mf), indexing="xy")
-    ix, iy = ix.ravel(), iy.ravel()
-    node = iy * mf + ix
-    even_x, even_y = ix % 2 == 0, iy % 2 == 0
-
-    both = even_x & even_y
-    rows.append(node[both])
-    cols.append((iy[both] // 2) * mc + ix[both] // 2)
-    vals.append(np.ones(both.sum()))
-
-    ex = ~even_x & even_y          # horizontal edge midpoints
-    base = (iy[ex] // 2) * mc + (ix[ex] - 1) // 2
-    for off in (0, 1):
-        rows.append(node[ex])
-        cols.append(base + off)
-        vals.append(np.full(ex.sum(), 0.5))
-
-    ey = even_x & ~even_y          # vertical edge midpoints
-    base = ((iy[ey] - 1) // 2) * mc + ix[ey] // 2
-    for off in (0, mc):
-        rows.append(node[ey])
-        cols.append(base + off)
-        vals.append(np.full(ey.sum(), 0.5))
-
-    ctr = ~even_x & ~even_y        # cell centers
-    base = ((iy[ctr] - 1) // 2) * mc + (ix[ctr] - 1) // 2
-    for off in (0, 1, mc, mc + 1):
-        rows.append(node[ctr])
-        cols.append(base + off)
-        vals.append(np.full(ctr.sum(), 0.25))
-
-    P = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(fine.n, coarse.n))
-    return P.tocsr()
+    m = build_grid(level).m
+    p = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(m, m), format="csc")[:, ::2]
+    P = sp.kron(p, p, format="csr")
+    for a in (P.indptr, P.indices, P.data):
+        a.setflags(write=False)
+    return P
 
 
-def prolongate(v: np.ndarray, level: int) -> np.ndarray:
-    """Prolongate nodal values from level-1 onto the level grid."""
-    coarse = build_grid(level - 1)
-    if v.shape != (coarse.n,):
-        raise ValueError(f"expected a vector of length {coarse.n}")
-    return prolongation_matrix(level) @ v
+def prolongate(v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
+    """Nodal values of level from_level, a vector or one column per function, on
+    the grid of level to_level >= from_level."""
+    n = build_grid(from_level).n
+    if v.shape[:1] != (n,) or to_level < from_level:
+        raise ValueError(f"expected {n} rows of level-{from_level} values and "
+                         f"to_level >= {from_level}")
+    for level in range(from_level + 1, to_level + 1):
+        v = prolongation_matrix(level) @ v
+    return v
 
 
 class H1Frame:
@@ -569,7 +541,7 @@ def delta_nodal(y, level: int, model: CoefficientModel) -> np.ndarray:
     u = solve_at(y, level, model)
     if level == 0:
         return u
-    return u - prolongate(solve_at(y, level - 1, model), level)
+    return u - prolongate(solve_at(y, level - 1, model), level - 1, level)
 
 
 def delta_vector(y, level: int, model: CoefficientModel) -> np.ndarray:

@@ -71,7 +71,7 @@ def suite_fem():
     ref = fem.solve_at(np.zeros(1), 6, model)
     for lev in (2, 3):
         u = fem.solve_at(np.zeros(1), lev, model)
-        diff = driver.prolongate_to(u, lev, 6) - ref
+        diff = fem.prolongate(u, lev, 6) - ref
         norms.append(fem.h1_frame(6).seminorm(diff))
     ratio = norms[0] / norms[1]
     if not 1.6 <= ratio <= 2.4:
@@ -106,8 +106,6 @@ def suite_driver():
         w = colloc.CollocationGrid(p).quadrature_weights
         if w.min() <= 0 or abs(w.sum() - 1.0) > 1e-12:
             return f"quadrature weights invalid at degree {p}"
-    if abs(colloc.stability_constant([0, 0]) - 1.0) > 1e-15:
-        return "stability constant at degree 0 must be 1"
     model = fields.make_model("affine", "zero", 2)
     surrogate, _ = driver.run_ml(model, 2, 1, seed=3)
     u_det = fem.solve_at(np.zeros(2), 1, model)

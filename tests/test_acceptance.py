@@ -14,10 +14,9 @@ from mltc.colloc import CollocationGrid
 from mltc.cross import ColumnSource, EntryOracle, approximate_tensor
 from mltc.driver import degree_schedule, error_metrics, run_ml
 from mltc.fem import (build_grid, delta_nodal, delta_vector, functional_psi,
-                      h1_frame, seminorm_quadrature, solve_at)
+                      h1_frame, prolongate, seminorm_quadrature, solve_at)
 from mltc.fields import make_model
 from mltc.htensor import build_tree, ht_entries, ht_full
-from mltc.driver import prolongate_to
 
 from conftest import random_htensor
 
@@ -161,7 +160,7 @@ def test_criterion_07_fem_correctness():
     errs = []
     for level in (2, 3, 4):
         u = solve_at(np.zeros(1), level, model)
-        errs.append(frame.seminorm(prolongate_to(u, level, ref_level) - ref))
+        errs.append(frame.seminorm(prolongate(u, level, ref_level) - ref))
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     assert all(1.6 <= r <= 2.4 for r in ratios)
     report(7, f"psi(u_5) = {psi5:.7f} (target {target}), "

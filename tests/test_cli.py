@@ -1,11 +1,12 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mltc import cli, driver
 from mltc.cli import main
-from mltc.config import load_config
+from mltc.config import ExperimentConfig, load_config
 from mltc.errors import BudgetError, ConfigError, EllipticityError
 from mltc.fields import CoefficientModel
 
@@ -108,9 +109,41 @@ class TestConfig:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert builds == []
 
+    # terms = 40 fits the build to level 1 (2^40 x 25 entries at level 0) but
+    # not the reference build to level 3 (3^40 x 25)
+    @pytest.mark.parametrize("terms, max_level", [(60, 3), (40, 1)])
+    def test_index_overflow_builds_nothing(self, tmp_path, monkeypatch, capsys,
+                                           terms, max_level):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = write_config(tmp_path / "c.ini", terms=terms, max_level=max_level,
+                            ref_level=3, out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"terms = {terms} is too many at level 0 of the build to level 3" in err
+        assert builds == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("terms", [58, 59])
+    def test_index_range_bound_is_exact(self, terms):
+        # level 0 of a build to level 1 has degree 1 and 25 nodes
+        shape = (2,) * terms + (25,)
+        cfg = ExperimentConfig(terms=terms, max_level=1)
+        if terms == 58:
+            cli._check_index_range(cfg, [1])
+            np.ravel_multi_index(tuple(np.array(shape) - 1), shape)
+        else:
+            with pytest.raises(ConfigError, match="terms = 59"):
+                cli._check_index_range(cfg, [1])
+            with pytest.raises(ValueError):
+                np.ravel_multi_index(tuple(np.array(shape) - 1), shape)
+
 
 class TestRun:
-    def test_small_run_outputs(self, tmp_path, capsys):
+    def test_small_run_outputs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
         assert main(["run", str(cfg)]) == 0
         out = tmp_path / "out"
@@ -139,6 +172,8 @@ class TestRun:
             in report
         assert "validation pcg iterations per level (0 LU, -1 fell back to LU): 0 0\n" \
             in report
+        assert ("BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
+                "MKL_NUM_THREADS=unset\n") in report
 
     def test_lambda_zero_run_is_exact(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="zero", max_level="2",
@@ -380,4 +415,15 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.ini", ref_level="3", out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), f"--levels={levels}"]) == 2
         assert "sweep levels must be" in capsys.readouterr().err
+        assert builds == []
+
+    def test_index_overflow_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        cfg = write_config(tmp_path / "c.ini", terms=60, max_level=3, ref_level=3,
+                           out_dir=tmp_path / "out")
+        # the build to level 0 fits (1^60 parameter indices), the one to level 1 not
+        assert main(["sweep", str(cfg), "--levels", "0,1"]) == 2
+        assert "terms = 60 is too many at level 0 of the build to level 1" \
+            in capsys.readouterr().err
         assert builds == []

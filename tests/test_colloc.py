@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mltc.colloc import CollocationGrid, chebyshev_nodes, stability_constant
+from mltc.colloc import CollocationGrid, chebyshev_nodes
 
 
 class TestNodes:
@@ -80,20 +80,3 @@ class TestQuadrature:
         integ = np.polyint(coeffs)
         exact = 0.5 * (np.polyval(integ, 1.0) - np.polyval(integ, -1.0))
         assert abs(grid.quadrature_weights @ vals - exact) < 1e-13
-
-
-class TestStability:
-    def test_all_zero_degrees(self):
-        assert stability_constant([0, 0, 0, 0]) == 1.0
-
-    def test_single_degree_one(self):
-        assert np.isclose(stability_constant([1]), 2 / math.pi * math.log(2) + 1)
-
-    def test_monotone(self):
-        base = stability_constant([2, 3, 1])
-        assert stability_constant([2, 4, 1]) >= base
-        assert stability_constant([3, 3, 1]) >= base
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            stability_constant([1, -1])

@@ -14,9 +14,9 @@ from mltc.colloc import CollocationGrid
 from mltc.config import load_config
 from mltc.cross import ColumnSource
 from mltc.driver import (LevelPlan, MLSurrogate, accuracy_schedule,
-                         degree_schedule, error_metrics, prolongate_to, run_ml)
+                         degree_schedule, error_metrics, run_ml)
 from mltc.errors import EllipticityError
-from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame,
+from mltc.fem import (build_grid, delta_nodal, delta_vector, h1_frame, prolongate,
                       prolongation_matrix, solve_at, solve_ladder)
 from mltc.fields import CoefficientModel, make_model
 from mltc.htensor import ht_coefficients, ht_entries
@@ -159,7 +159,7 @@ class TestSurrogate:
             for k in itertools.product(range(len(grid)), repeat=2):
                 weight = wx[k[0]] * wy[k[1]]
                 acc += weight * delta_nodal(grid.nodes[list(k)], rec.level, EXP2)
-            total += prolongate_to(acc, rec.level, 2)
+            total += prolongate(acc, rec.level, 2)
         frame = h1_frame(2)
         err = np.linalg.norm(frame.to_h1(surrogate.evaluate(y) - total))
         assert err < 1e-6 * np.linalg.norm(frame.to_h1(total))
@@ -247,7 +247,7 @@ class TestExpectation:
             acc = np.zeros(build_grid(r.level).n)
             for k in range(len(grid)):
                 acc += w[k] * delta_nodal(grid.nodes[[k]], r.level, model)
-            total += prolongate_to(acc, r.level, 1)
+            total += prolongate(acc, r.level, 1)
         assert np.allclose(e, total, atol=1e-9)
 
     def test_degenerate_expectation(self):
@@ -350,7 +350,7 @@ def assert_close(got, want, rtol=1e-12):
 def h1_route(surrogate, comps):
     """Nodal values and psi from per-level H1 coordinates, one solve per level."""
     L = surrogate.max_level
-    nodal = sum(prolongate_to(h1_frame(lev).from_h1(Z.T), lev, L)
+    nodal = sum(prolongate(h1_frame(lev).from_h1(Z.T), lev, L)
                 for lev, Z in enumerate(comps)).T
     psi = sum(Z @ h1_frame(lev).psi_vec for lev, Z in enumerate(comps))
     return nodal, psi

@@ -6,10 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import spsolve_triangular
 
 from mltc import fem
-from mltc.driver import prolongate_to
 from mltc.errors import EllipticityError
 from mltc.fem import (assemble, build_grid, delta_nodal, delta_vector,
                       functional_psi, h1_frame, mass_vector, prolongate,
@@ -213,7 +213,7 @@ class TestSolve:
         errs = []
         for level in (2, 3, 4):
             u = solve_at(np.zeros(1), level, A2)
-            diff = prolongate_to(u, level, ref_level) - ref
+            diff = prolongate(u, level, ref_level) - ref
             errs.append(frame.seminorm(diff))
         for e0, e1 in zip(errs, errs[1:]):
             assert 1.6 <= e0 / e1 <= 2.4
@@ -386,7 +386,7 @@ class TestProlongation:
         coarse = build_grid(1)
         xc = node_coords(coarse)
         v = xc[:, 0] * (1 - xc[:, 0])
-        fine_v = prolongate(v, 2)
+        fine_v = prolongate(v, 1, 2)
         fine = build_grid(2)
         ix, iy = np.meshgrid(np.arange(coarse.m), np.arange(coarse.m), indexing="xy")
         fine_idx = (2 * iy) * fine.m + 2 * ix
@@ -395,7 +395,7 @@ class TestProlongation:
     def test_linear_function_midpoints(self):
         coarse, fine = build_grid(0), build_grid(1)
         v = node_coords(coarse)[:, 0]
-        fv = prolongate(v, 1)
+        fv = prolongate(v, 0, 1)
         assert np.allclose(fv, node_coords(fine)[:, 0])
 
     def test_energy_identity(self, rng):
@@ -404,13 +404,36 @@ class TestProlongation:
             for _ in range(20 if level == 1 else 5):
                 v = rng.standard_normal(coarse.n)
                 v[coarse.boundary_mask] = 0.0
-                a = np.linalg.norm(h1_frame(level).to_h1(prolongate(v, level)))
+                a = np.linalg.norm(h1_frame(level).to_h1(prolongate(v, level - 1, level)))
                 b = np.linalg.norm(h1_frame(level - 1).to_h1(v))
                 assert abs(a - b) <= 1e-10 * max(b, 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            prolongate(np.ones(10), 1)
+            prolongate(np.ones(10), 0, 1)
+        with pytest.raises(ValueError):
+            prolongate(np.ones((10, 25)), 0, 1)       # a function per column, not row
+        with pytest.raises(ValueError):
+            prolongate(np.ones(build_grid(1).n), 1, 0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(level=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_bilinear_interpolation(self, level, seed):
+        # an independent evaluation of the coarse Q1 function at the fine nodes
+        coarse, fine = build_grid(level - 1), build_grid(level)
+        v = np.random.default_rng(seed).standard_normal(coarse.n)
+        t = np.arange(coarse.m) * coarse.h
+        interp = RegularGridInterpolator((t, t), v.reshape(coarse.m, coarse.m),
+                                         method="linear")
+        expected = interp(node_coords(fine)[:, ::-1])    # points as (y, x)
+        got = prolongate(v, level - 1, level)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(v).max()
+
+    def test_two_levels_at_once(self, rng):
+        v = rng.standard_normal((build_grid(1).n, 3))
+        twice = prolongate(prolongate(v, 1, 2), 2, 3)
+        assert np.array_equal(prolongate(v, 1, 3), twice)
+        assert prolongate(v, 1, 1) is v
 
     def test_energy_monotone_under_refinement(self):
         norms = [np.linalg.norm(h1_frame(lev).to_h1(solve_at(np.zeros(1), lev, A2)))
@@ -486,3 +509,20 @@ class TestPsi:
 
 def test_mass_vector_total():
     assert np.isclose(mass_vector(3).sum(), 1.0)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_mass_vector_integrates_bilinear_exactly(level):
+    m = mass_vector(level)
+    x, y = node_coords(build_grid(level)).T
+    for f, integral in ((np.ones_like(x), 1.0), (x, 0.5), (x * y, 0.25)):
+        assert abs(m @ f - integral) <= 1e-15
+
+
+def test_cached_arrays_are_read_only():
+    # a write into a cached array would change every later solve without a word
+    P = fem.prolongation_matrix(2)
+    for a in (mass_vector(2), fem.load_vector(2), h1_frame(2).mass,
+              P.indptr, P.indices, P.data):
+        with pytest.raises(ValueError):
+            a[:1] = 0
