@@ -4,19 +4,22 @@ Exit codes: 0 success, 2 configuration error (an unknown config key or
 section, a setting out of range, or more terms than a build's step-2 index
 can hold, found before any build), 3 budget abort, 4 loss of ellipticity
 (the coefficient is nonpositive at a collocation point of a build or at a
-validation sample), 1 internal error.  `run` writes levels.csv, errors.csv and
-report.txt into the output directory.  On exit 3 or 4 it writes levels.csv
-alone, with eps_level empty: the levels built so far, or every level of the
-finished build when only the reference build or the validation fails.
-`sweep` writes one errors.csv row per level, and on exit 3 or 4 the rows of
-the levels finished so far.  A level whose cross approximation ends
+validation sample), 5 numerical failure (a singular pivot block, a
+non-finite fiber or oracle value, or a banded factorization that is not
+positive definite), 1 internal error.  `run` writes levels.csv, errors.csv
+and report.txt into the output directory.  On exit 3, 4 or 5 it writes
+levels.csv alone, with eps_level empty: the levels built so far, or every
+level of the finished build when only the reference build or the validation
+fails.  `sweep` writes one errors.csv row per level, and on exit 3, 4 or 5
+the rows of the levels finished so far.  A level whose cross approximation ends
 unconverged is kept (exit 0), and `run` names it, with its validation residual
 and target, on stderr and in report.txt; a level of the reference build is
 named the same way, as a "reference level", by `run` and, on stderr, by
 `sweep`, which names the levels of each swept build on stderr as well ("L=2
 level 1").  report.txt also lists, per level, the most PCG iterations a
 build fiber's solve and a validation solve took (see driver.run_ml and
-driver.error_metrics).
+driver.error_metrics), and the wall time of each level's step 1 (column
+basis) and step 2 (cross approximation).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import verify
 from .config import ExperimentConfig, load_config
 from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, degree_schedule,
                      error_metrics, run_ml)
-from .errors import BudgetError, ConfigError, EllipticityError
+from .errors import BudgetError, ConfigError, EllipticityError, PivotError
 from .fem import MAX_LEVEL, build_grid
 from .fields import make_model
 
@@ -54,13 +57,22 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _abort(err: BudgetError | EllipticityError) -> int:
-    """Report a budget abort (exit 3) or a loss of ellipticity (exit 4)."""
+# errors that end a build with partial outputs, each with its own exit code
+_ABORTS = (BudgetError, EllipticityError, PivotError, ArithmeticError)
+
+
+def _abort(err: Exception) -> int:
+    """Report a budget abort (exit 3), a loss of ellipticity (exit 4) or a
+    numerical failure (exit 5): a singular pivot, a non-finite value or a
+    failed factorization."""
     if isinstance(err, BudgetError):
         print(f"budget abort: {err}", file=sys.stderr)
         return 3
-    print(f"ellipticity failure: {err}", file=sys.stderr)
-    return 4
+    if isinstance(err, EllipticityError):
+        print(f"ellipticity failure: {err}", file=sys.stderr)
+        return 4
+    print(f"numerical failure: {err}", file=sys.stderr)
+    return 5
 
 
 def _environment_stamp() -> list[str]:
@@ -169,7 +181,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             print(warning, file=sys.stderr)
         metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                                 seed=cfg.seed, per_level=True)
-    except (BudgetError, EllipticityError) as err:
+    except _ABORTS as err:
         # a failed reference build or validation keeps the levels of the
         # finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])
@@ -196,6 +208,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         lines.append(f"eps_E[psi]  = {metrics.eps_e_psi:.6e}")
     lines.append("build pcg iterations per level (0 LU, -1 fell back to LU): "
                  + " ".join(str(d.pcg_iterations) for d in diags))
+    lines.append("build step 1 (column basis) seconds per level: "
+                 + " ".join(f"{d.step1_s:.3f}" for d in diags))
+    lines.append("build step 2 (cross approximation) seconds per level: "
+                 + " ".join(f"{d.step2_s:.3f}" for d in diags))
     lines.append("validation pcg iterations per level (0 LU, -1 fell back to LU): "
                  + " ".join(str(k) for k in metrics.pcg_iterations))
     lines.append(f"total time: {elapsed:.1f}s")
@@ -236,7 +252,7 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
                   f"eps_E[u]={metrics.eps_e_u:.6e} "
                   f"eps_ml[psi]={metrics.eps_ml_psi:.6e} "
                   f"eps_E[psi]={metrics.eps_e_psi:.6e}")
-    except (BudgetError, EllipticityError) as err:
+    except _ABORTS as err:
         return _abort(err)
     finally:
         _write_errors_csv(out_dir / "errors.csv", rows)     # the levels finished so far
@@ -281,7 +297,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (BudgetError, EllipticityError) as err:
+    except _ABORTS as err:
         return _abort(err)
     except Exception as err:  # pragma: no cover - internal failures
         print(f"internal error: {err}", file=sys.stderr)

@@ -11,23 +11,28 @@ Step 2 selects, per dimension-tree node, row and column pivot sets by greedy
 partial pivoting along fibers through cross centers; column candidates of a
 node are combinations of sibling-mode fibers with the parent's column pivots,
 and parent row pivots seed the children's search.  Leaf frames and transfer
-tensors of the result are filled with oracle values at pivot-determined
-entries only.  A validation pass on random probe crosses decides whether a
-tightened re-sweep is needed.  A node keeps its pivot skeleton (pivot rows,
-pivot columns and their block) and no trace; CrossDiagnostics holds the sweep
-count, the last validation residual and whether it met the target.  Residual
-products U @ pm.solve(B) keep their operand shapes (the bitwise rule), so a
-pivot search solves its skeleton-rows x pool block once and shares it, while
-each row-fiber residual keeps its own one-column solve.
+tensors are filled with oracle values at pivot-determined entries only.  A
+validation pass on random probe crosses decides whether a tightened re-sweep
+is needed.  A node keeps only its pivot skeleton; CrossDiagnostics holds the
+sweep count, the last validation residual and whether it met the target.
+
+Step 2 works on index arrays: pivots, row centers and column pools are
+(k, |modes|) intp arrays over a node's modes or its complement, compared by
+their keys row @ strides[modes] (the tensor's C-order strides).  A row key
+plus a column key is the entry's flat C-order index, so a block's keys are one
+broadcast sum and the oracle is read by `lookup`, one call per block.  The
+counts and level tensors depend on these bitwise rules: candidates keep their
+first-seen order; rng draws and the oracle's calls keep their order and
+number; residual products U @ pm.solve(B) keep their operand shapes (a pivot
+search solves its skeleton-rows x pool block once, each row-fiber residual its
+own column); and PivotMatrix.solve makes the LAPACK calls solve_triangular
+makes for a C-ordered factor, dtrtrs(lu.T, Z, lower=0, trans=1, unitdiag=1)
+then dtrtrs(lu.T, Z, lower=1, trans=1).  The plain dtrtrs(lu, Z, lower=1,
+unitdiag=1) rounds differently.
 
 Oracle contract: an EntryOracle's `fn` takes an (m, d) int array of distinct,
-not yet cached multi-indices and returns their m values.  Step 2 reads the
-tensor only in blocks, one `entries` call per block, and the cache is keyed
-by the flat C-order index of each multi-index.
-
-Evaluation accounting: step 1 is counted in spatial fibers (one fiber is one
-column, i.e. one collocation-point evaluation of the underlying model) and
-step 2 in entries of the reduced tensor.
+not yet cached multi-indices in first-seen order and returns their m values.
+Step 1 is counted in spatial fibers (model evaluations), step 2 in entries.
 
 The caller tunes only the accuracy, the rank cap and the rng.  The loop
 constants are fixed by the method, and the golden counts and the acceptance
@@ -45,6 +50,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import BudgetError, PivotError
 from .htensor import DimensionTree, HTensor
@@ -86,16 +92,12 @@ class EntryOracle:
         self.shape = tuple(int(s) for s in shape)
         self._fn = fn
         self._cache = {}
-        self._max_abs = 0.0
+        self.max_abs = 0.0      # largest |value| evaluated so far
         self._budget = budget
 
     @property
     def count(self) -> int:
         return len(self._cache)
-
-    @property
-    def max_abs(self) -> float:
-        return self._max_abs
 
     def entries(self, indices) -> np.ndarray:
         """Values at the rows of an (m, d) index array (or a list of d-tuples)."""
@@ -104,23 +106,26 @@ class EntryOracle:
             idx = idx.reshape(0, len(self.shape))
         if idx.ndim != 2:
             raise ValueError("indices must form an (m, d) array")
-        keys = np.ravel_multi_index(tuple(idx.T), self.shape).tolist()
+        return self.lookup(np.ravel_multi_index(tuple(idx.T), self.shape))
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Values at an int array of in-range flat C-order keys, in its shape."""
+        flat = keys.ravel().tolist()
         cache = self._cache
-        first = {}          # flat index of each miss -> its first row in idx
-        for i, k in enumerate(keys):
-            if k not in cache and k not in first:
-                first[k] = i
-        if first:
+        misses = list(dict.fromkeys([k for k in flat if k not in cache]))
+        if misses:
             if self._budget is not None:
-                self._budget.charge(len(first))
-            values = np.asarray(self._fn(idx[list(first.values())]), dtype=float)
-            if values.shape != (len(first),):
+                self._budget.charge(len(misses))
+            idx = np.stack(np.unravel_index(misses, self.shape), axis=1)
+            values = np.asarray(self._fn(idx), dtype=float)
+            if values.shape != (len(misses),):
                 raise ValueError("oracle returned the wrong number of values")
             if not np.all(np.isfinite(values)):
                 raise ArithmeticError("oracle returned a non-finite value")
-            cache.update(zip(first, values.tolist()))
-            self._max_abs = max(self._max_abs, float(np.abs(values).max()))
-        return np.fromiter(map(cache.__getitem__, keys), dtype=float, count=len(keys))
+            cache.update(zip(misses, values.tolist()))
+            self.max_abs = max(self.max_abs, float(np.abs(values).max()))
+        return np.fromiter(map(cache.__getitem__, flat), dtype=float,
+                           count=len(flat)).reshape(keys.shape)
 
 
 class ColumnSource:
@@ -173,7 +178,7 @@ class ColumnSource:
         return col
 
     def columns(self, js) -> dict:
-        js = [tuple(int(i) for i in j) for j in js]
+        """Fibers by parametric multi-index; `js` is a list of int tuples."""
         for j in sorted({j for j in js if j not in self._cache}):
             self.column(j)
         return {j: self._cache[j] for j in js}
@@ -182,17 +187,22 @@ class ColumnSource:
 # ---------------------------------------------------------------------------
 # training sets (unions of crosses)
 
-def cross_indices(shape, center) -> list:
-    """All indices differing from `center` in at most one position."""
-    out = [tuple(center)]
-    seen = {tuple(center)}
-    for i, n in enumerate(shape):
-        for k in range(n):
-            idx = tuple(center[:i]) + (k,) + tuple(center[i + 1:])
-            if idx not in seen:
-                seen.add(idx)
-                out.append(idx)
+def cross_array(shape, center) -> np.ndarray:
+    """All indices differing from `center` in at most one position, as rows:
+    the center, then per position its other values in ascending order."""
+    center = np.asarray(center, dtype=np.intp)
+    sizes = np.asarray(shape, dtype=np.intp)
+    pos = np.repeat(np.arange(len(sizes)), sizes)
+    val = np.arange(len(pos)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keep = val != center[pos]
+    out = np.repeat(center[None, :], np.count_nonzero(keep) + 1, axis=0)
+    out[np.arange(1, len(out)), pos[keep]] = val[keep]
     return out
+
+
+def cross_indices(shape, center) -> list:
+    """cross_array as a list of int tuples."""
+    return list(map(tuple, cross_array(shape, center).tolist()))
 
 
 @dataclass
@@ -202,13 +212,11 @@ class TrainingSet:
 
     def enrich(self, s: int, rng) -> None:
         """Add s crosses with uniformly random centers."""
-        known = set(self.indices)
+        held = dict.fromkeys(self.indices)
         for _ in range(s):
             center = tuple(int(rng.integers(n)) for n in self.shape)
-            for idx in cross_indices(self.shape, center):
-                if idx not in known:
-                    self.indices.append(idx)
-                    known.add(idx)
+            held.update(dict.fromkeys(cross_indices(self.shape, center)))
+        self.indices = list(held)
 
 
 def build_training_set(shape, s: int, rng) -> TrainingSet:
@@ -285,8 +293,7 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
 
     if V.shape[1] == 0:
         # numerically zero tensor: canonical unit vector keeps ranks >= 1
-        V = np.zeros((n, 1))
-        V[0, 0] = 1.0
+        V = np.eye(n, 1)
     return V
 
 
@@ -298,8 +305,7 @@ def reduce_oracle(source: ColumnSource, V: np.ndarray) -> EntryOracle:
     V = np.asarray(V, dtype=float)
     if V.shape[0] != source.n_spatial:
         raise ValueError("basis row count must match the spatial size")
-    r = V.shape[1]
-    shape = source.param_shape + (r,)
+    shape = source.param_shape + (V.shape[1],)
 
     def fn(idx):
         js = list(map(tuple, idx[:, :-1].tolist()))
@@ -322,8 +328,7 @@ class PivotMatrix:
         for k in range(n):
             sub = np.abs(A[k:, k:])
             i, j = np.unravel_index(np.argmax(sub), sub.shape)
-            i += k
-            j += k
+            i, j = i + k, j + k
             A[[k, i], :] = A[[i, k], :]
             pr[[k, i]] = pr[[i, k]]
             A[:, [k, j]] = A[:, [j, k]]
@@ -332,6 +337,7 @@ class PivotMatrix:
                 A[k + 1:, k] /= A[k, k]
                 A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
         self._lu, self._pr, self._pc = A, pr, pc
+        self._singular = not np.all(np.diag(A) != 0.0)
 
     @property
     def rcond_estimate(self) -> float:
@@ -341,14 +347,15 @@ class PivotMatrix:
         return float(d.min() / d.max())
 
     def solve(self, B: np.ndarray) -> np.ndarray:
-        """Solve M X = B for a matrix B of columns."""
-        from scipy.linalg import solve_triangular
-
-        if not np.all(np.diag(self._lu) != 0.0):
+        """Solve M X = B for a matrix B of columns (see the module docstring)."""
+        if self._singular:
             raise PivotError("pivot matrix is numerically singular")
         Z = np.asarray(B, dtype=float)[self._pr, :]
-        Z = solve_triangular(self._lu, Z, lower=True, unit_diagonal=True)
-        Z = solve_triangular(self._lu, Z, lower=False)
+        Z, info = dtrtrs(self._lu.T, Z, lower=0, trans=1, unitdiag=1)
+        if info == 0:
+            Z, info = dtrtrs(self._lu.T, Z, lower=1, trans=1)
+        if info != 0:
+            raise PivotError(f"triangular solve failed (dtrtrs info {info})")
         X = np.empty_like(Z)
         X[self._pc, :] = Z
         return X
@@ -364,19 +371,24 @@ class CrossDiagnostics:
     converged: bool = False
 
 
+def _drop_known(idx, stride, known) -> np.ndarray:
+    """The rows of `idx`, in order, whose key row @ stride no row of `known` has."""
+    keys = set((known @ stride).tolist())
+    return idx[[k not in keys for k in (idx @ stride).tolist()]]
+
+
 class _NodeState:
-    def __init__(self, modes, comp):
+    def __init__(self, modes, comp, strides):
         self.modes = modes          # sorted mode tuple of the node
         self.comp = comp            # sorted complement
-        self.rows = []              # pivot tuples over `modes`
-        self.cols = []              # pivot tuples over `comp`
+        self.rstride = strides[list(modes)]     # row key = row @ rstride
+        self.cstride = strides[list(comp)]      # column key = col @ cstride
+        self.rows = np.zeros((0, len(modes)), dtype=np.intp)    # pivot rows over `modes`
+        self.cols = np.zeros((0, len(comp)), dtype=np.intp)     # pivot columns over `comp`
         self.M = np.zeros((0, 0))
         self.pm = None              # PivotMatrix of M
         self.zero = False
-        self.rejected = set()
-
-    def refresh(self):
-        self.pm = PivotMatrix(self.M) if len(self.rows) else None
+        self.rejected = set()       # (row key, column key) of rejected pivots
 
 
 class _CrossRun:
@@ -387,131 +399,127 @@ class _CrossRun:
         self.tree = tree
         self.shape = oracle.shape
         self.d = len(oracle.shape)
+        self.strides = np.array([math.prod(self.shape[m + 1:]) for m in range(self.d)],
+                                dtype=np.intp)
         self.eps = eps
         self.rng = rng
         self.rank_cap = rank_cap
         self.states: dict[int, _NodeState] = {}
-        self.hints: list[tuple] = []    # full indices that seed extra candidates
+        self.hints = np.zeros((0, self.d), dtype=np.intp)   # full indices seeding pools
         self.extra_contexts = 0
+        self._crosses = {}
 
     # -- index plumbing ----------------------------------------------------
 
     @staticmethod
-    def restrict(source_modes, idx, target_modes) -> tuple:
-        pos = {m: i for i, m in enumerate(source_modes)}
-        return tuple(idx[pos[m]] for m in target_modes)
+    def restrict(source_modes, idx, target_modes) -> np.ndarray:
+        """The columns of the index rows `idx` (over source_modes) for target_modes."""
+        return idx[:, [source_modes.index(m) for m in target_modes]]
 
     def random_tuple(self, modes) -> tuple:
         return tuple(int(self.rng.integers(self.shape[m])) for m in modes)
 
-    def mode_cross(self, modes, center) -> list:
-        sizes = [self.shape[m] for m in modes]
-        return cross_indices(sizes, center)
+    def mode_cross(self, modes, center) -> np.ndarray:
+        """cross_array over `modes`, memoized per run (callers do not write to it)."""
+        key = (modes, center.tobytes())
+        if key not in self._crosses:
+            self._crosses[key] = cross_array([self.shape[m] for m in modes], center)
+        return self._crosses[key]
+
+    def distinct(self, modes, idx, target, draws) -> np.ndarray:
+        """The rows of `idx` over `modes` once each, in first-seen order, then up
+        to `draws` random tuples, each kept if new, until `target` rows are held."""
+        held = dict.fromkeys(map(tuple, idx.tolist()))
+        for _ in range(draws):
+            if len(held) >= target:
+                break
+            held.setdefault(self.random_tuple(modes))
+        return np.array(list(held), dtype=np.intp).reshape(len(held), len(modes))
 
     # -- residuals ---------------------------------------------------------
 
-    def _block(self, modes, rows, comp, cols) -> np.ndarray:
-        """Oracle values at (row over `modes`, col over `comp`), rows x cols."""
-        nr, nc = len(rows), len(cols)
-        idx = np.zeros((nr, nc, self.d), dtype=np.intp)
-        idx[:, :, list(modes)] = np.asarray(rows).reshape(nr, 1, len(modes))
-        idx[:, :, list(comp)] = np.asarray(cols).reshape(1, nc, len(comp))
-        return self.oracle.entries(idx.reshape(-1, self.d)).reshape(nr, nc)
+    def _block(self, st: _NodeState, rows, cols) -> np.ndarray:
+        """Oracle values at (row over st.modes, column over st.comp), rows x cols."""
+        return self.oracle.lookup((rows @ st.rstride)[:, None] + cols @ st.cstride)
 
     def _residual_block(self, st: _NodeState, rows, cols) -> np.ndarray:
         """Residual of the current skeleton on rows x cols (dense, small)."""
-        y = self._block(st.modes, rows, st.comp, cols)
-        if not st.rows:
+        y = self._block(st, rows, cols)
+        if not len(st.rows):
             return y
-        U = self._block(st.modes, rows, st.comp, st.cols)
-        Vb = self._block(st.modes, st.rows, st.comp, cols)
+        U = self._block(st, rows, st.cols)
+        Vb = self._block(st, st.rows, cols)
         return y - U @ st.pm.solve(Vb)
 
     # -- candidate pools ----------------------------------------------------
 
     def node_pools(self, st: _NodeState, parent_state: _NodeState | None,
-                   sibling_modes) -> tuple[list, list]:
+                   sibling_modes) -> tuple[np.ndarray, np.ndarray]:
         """(row candidate centers, column candidate pool) for one node.
 
-        Candidates keep their first-seen order; dicts serve as ordered sets.
+        A column candidate joins a point of a cross through a sibling center
+        with a context; the pool keeps the first POOL_CAP distinct ones in the
+        order sibling center, cross point, context.
         """
-        everything = range(self.d)
-        p_modes, p_rows, ctx_modes, contexts = (), [], (), {(): None}
+        everything = tuple(range(self.d))
+        p_modes, p_rows = everything, np.zeros((0, self.d), dtype=np.intp)
+        ctx_modes, contexts = (), np.zeros((1, 0), dtype=np.intp)
         if parent_state is not None:
             p_modes, p_rows = parent_state.modes, parent_state.rows
-            ctx_modes, contexts = parent_state.comp, dict.fromkeys(parent_state.cols)
+            ctx_modes, contexts = parent_state.comp, parent_state.cols
+        hints, restrict = self.hints, self.restrict
 
-        rows = dict.fromkeys([self.restrict(p_modes, r, st.modes) for r in p_rows] + st.rows
-                             + [self.restrict(everything, h, st.modes) for h in self.hints])
-        for _ in range(50):
-            if len(rows) >= 3:
-                break
-            rows.setdefault(self.random_tuple(st.modes))
+        rows = self.distinct(st.modes, np.concatenate(
+            [restrict(p_modes, p_rows, st.modes), st.rows,
+             restrict(everything, hints, st.modes)]), 3, 50)
+        contexts = self.distinct(ctx_modes, np.concatenate(
+            [contexts, restrict(everything, hints, ctx_modes)]), math.inf,
+            self.extra_contexts)
+        sibs = self.distinct(sibling_modes, np.concatenate(
+            [restrict(p_modes, p_rows, sibling_modes),
+             restrict(st.comp, st.cols, sibling_modes),
+             restrict(everything, hints, sibling_modes)]), 2, 50)
 
-        contexts.update(dict.fromkeys(self.restrict(everything, h, ctx_modes)
-                                      for h in self.hints))
-        for _ in range(self.extra_contexts):
-            contexts.setdefault(self.random_tuple(ctx_modes))
-
-        sibs = dict.fromkeys([self.restrict(p_modes, r, sibling_modes) for r in p_rows]
-                             + [self.restrict(st.comp, c, sibling_modes) for c in st.cols]
-                             + [self.restrict(everything, h, sibling_modes)
-                                for h in self.hints])
-        for _ in range(50):
-            if len(sibs) >= 2:
-                break
-            sibs.setdefault(self.random_tuple(sibling_modes))
-
-        cols = {}
-        for u0 in sibs:
-            for u in self.mode_cross(sibling_modes, u0):
-                for ctx in contexts:
-                    col = self.merge_col(st.comp, sibling_modes, u, ctx_modes, ctx)
-                    cols.setdefault(col)
-                    if len(cols) >= POOL_CAP:
-                        return list(rows), list(cols)
-        return list(rows), list(cols)
-
-    @staticmethod
-    def merge_col(comp, sib_modes, sib_idx, ctx_modes, ctx_idx) -> tuple:
-        vals = {}
-        vals.update(zip(sib_modes, sib_idx))
-        vals.update(zip(ctx_modes, ctx_idx))
-        return tuple(vals[m] for m in comp)
+        points = np.concatenate([self.mode_cross(sibling_modes, u) for u in sibs])
+        keys = ((points @ self.strides[list(sibling_modes)])[:, None]
+                + (contexts @ self.strides[list(ctx_modes)])[None, :])
+        _, first = np.unique(keys, return_index=True)
+        ip, ic = np.divmod(np.sort(first)[:POOL_CAP], len(contexts))
+        pool = np.empty((len(ip), len(st.comp)), dtype=np.intp)
+        pool[:, [st.comp.index(m) for m in sibling_modes]] = points[ip]
+        pool[:, [st.comp.index(m) for m in ctx_modes]] = contexts[ic]
+        return rows, pool
 
     # -- pivot growth --------------------------------------------------------
 
     def find_pivot(self, st: _NodeState, row_centers, col_pool):
         best = (None, None, -1.0)
-        col_pool = [c for c in col_pool if c not in st.cols]
-        if not col_pool:
+        pool = _drop_known(col_pool, st.cstride, st.cols)
+        if not len(pool):
             return best
         W = None
         for r in row_centers[:3]:
             for _ in range(3):
-                res = self._block(st.modes, [r], st.comp, col_pool)
-                if st.rows:
-                    U = self._block(st.modes, [r], st.comp, st.cols)
+                res = self._block(st, r[None, :], pool)
+                if len(st.rows):
+                    U = self._block(st, r[None, :], st.cols)
                     if W is None:
                         # solved once per search, after the first row's blocks (same
                         # oracle order); W spans the pool so U @ W keeps its shapes
-                        W = st.pm.solve(self._block(st.modes, st.rows, st.comp, col_pool))
+                        W = st.pm.solve(self._block(st, st.rows, pool))
                     res = res - U @ W
-                res = res[0]
-                jbest = int(np.argmax(np.abs(res)))
-                c = col_pool[jbest]
-                row_fiber = [x for x in self.mode_cross(st.modes, r) if x not in st.rows]
-                if not row_fiber:
+                c = pool[int(np.argmax(np.abs(res[0])))]
+                row_fiber = _drop_known(self.mode_cross(st.modes, r), st.rstride, st.rows)
+                if not len(row_fiber):
                     break
-                resr = self._residual_block(st, row_fiber, [c])[:, 0]
+                resr = self._residual_block(st, row_fiber, c[None, :])[:, 0]
                 ibest = int(np.argmax(np.abs(resr)))
-                r_new = row_fiber[ibest]
-                val = abs(resr[ibest])
-                if (r_new, c) in st.rejected:
+                r_new, val = row_fiber[ibest], abs(resr[ibest])
+                if (int(r_new @ st.rstride), int(c @ st.cstride)) in st.rejected:
                     break
                 if val > best[2]:
                     best = (r_new, c, val)
-                if r_new == r:
+                if np.array_equal(r_new, r):
                     break
                 r = r_new
         return best
@@ -520,8 +528,7 @@ class _CrossRun:
         row_centers, col_pool = self.node_pools(st, parent_state, sibling_modes)
         while True:
             r, c, val = self.find_pivot(st, row_centers, col_pool)
-            scale = self.oracle.max_abs
-            if r is None or val <= self.eps_node * scale or val == 0.0:
+            if r is None or val <= self.eps_node * self.oracle.max_abs or val == 0.0:
                 break
             if len(st.rows) >= min(node_cap, self.rank_cap):
                 if node_cap > self.rank_cap:
@@ -530,31 +537,30 @@ class _CrossRun:
                         f"with residual {val:.3e} above target")
                 break
             # conditioning guard: reject pivots that degenerate the block
-            rows_new, cols_new = st.rows + [r], st.cols + [c]
-            M_new = self._block(st.modes, rows_new, st.comp, cols_new)
+            rows_new, cols_new = np.vstack([st.rows, r]), np.vstack([st.cols, c])
+            M_new = self._block(st, rows_new, cols_new)
             pm_new = PivotMatrix(M_new)
             if pm_new.rcond_estimate < RCOND_GUARD:
-                st.rejected.add((r, c))
+                st.rejected.add((int(r @ st.rstride), int(c @ st.cstride)))
                 if len(st.rejected) > 3 * (len(st.rows) + 1):
                     break
                 continue
             st.rows, st.cols, st.M, st.pm = rows_new, cols_new, M_new, pm_new
-            if r not in row_centers:
-                row_centers.append(r)
-        if not st.rows:
+            if not np.any(row_centers @ st.rstride == r @ st.rstride):
+                row_centers = np.vstack([row_centers, r])
+        if not len(st.rows):
             # numerically zero block: keep rank one with a unit pivot matrix
             st.zero = True
-            st.rows = [row_centers[0]]
-            st.cols = [col_pool[0] if col_pool else self.random_tuple(st.comp)]
+            st.rows, st.cols = row_centers[:1], col_pool[:1]    # neither is ever empty
             st.M = np.eye(1)
-            st.refresh()
+            st.pm = PivotMatrix(st.M)
 
     # -- sweeps ---------------------------------------------------------------
 
     def state_for(self, node) -> _NodeState:
         if node.index not in self.states:
             comp = self.tree.complement(node)
-            self.states[node.index] = _NodeState(tuple(node.modes), comp)
+            self.states[node.index] = _NodeState(tuple(node.modes), comp, self.strides)
         return self.states[node.index]
 
     def sweep(self):
@@ -567,25 +573,23 @@ class _CrossRun:
             if node.parent == -1:
                 self.grow_node(s1, None, tuple(c2.modes), self.node_rank_cap(c1))
                 # the sibling state is the transpose of the same skeleton
-                s2.rows = [self.restrict(s1.comp, c, s2.modes) for c in s1.cols]
-                s2.cols = [self.restrict(s1.modes, r, s2.comp) for r in s1.rows]
-                s2.M = s1.M.T.copy()
-                s2.refresh()
-                s2.zero = s1.zero
+                s2.rows = self.restrict(s1.comp, s1.cols, s2.modes)
+                s2.cols = self.restrict(s1.modes, s1.rows, s2.comp)
+                s2.M, s2.zero = s1.M.T.copy(), s1.zero
+                s2.pm = PivotMatrix(s2.M)
             else:
                 parent = self.state_for(node)
                 self.grow_node(s1, parent, tuple(c2.modes), self.node_rank_cap(c1))
                 self.grow_node(s2, parent, tuple(c1.modes), self.node_rank_cap(c2))
 
     def node_rank_cap(self, node) -> int:
-        size_t = 1
-        for m in node.modes:
-            size_t = min(size_t * self.shape[m], self.rank_cap + 1)
-        comp = self.tree.complement(node)
-        size_c = 1
-        for m in comp:
-            size_c = min(size_c * self.shape[m], self.rank_cap + 1)
-        return min(size_t, size_c, self.rank_cap + 1)
+        cap = self.rank_cap + 1
+        sizes = []
+        for modes in (node.modes, self.tree.complement(node)):
+            sizes.append(1)
+            for m in modes:
+                sizes[-1] = min(sizes[-1] * self.shape[m], cap)
+        return min(*sizes, cap)
 
     # -- assembly ---------------------------------------------------------------
 
@@ -593,29 +597,23 @@ class _CrossRun:
         leaf_frames, transfers = {}, {}
         for node in self.tree.leaves():
             st = self.states[node.index]
-            m = node.modes[0]
-            U = self._block((m,), [(j,) for j in range(self.shape[m])], st.comp, st.cols)
-            if st.zero:
-                U = np.zeros_like(U)
-            leaf_frames[node.index] = U
+            U = self._block(st, np.arange(self.shape[node.modes[0]])[:, None], st.cols)
+            leaf_frames[node.index] = np.zeros_like(U) if st.zero else U
         for node in self.tree.internal_nodes():
             c1, c2 = (self.tree.nodes[i] for i in node.children)
             s1, s2 = self.states[c1.index], self.states[c2.index]
-            if node.parent == -1:
-                ctx_modes, contexts = (), [()]
-            else:
+            zero, contexts = False, np.zeros(1, dtype=np.intp)  # the root's empty context
+            if node.parent != -1:
                 st = self.states[node.index]
-                ctx_modes, contexts = st.comp, st.cols
+                zero, contexts = st.zero, st.cols @ st.cstride
+            # the entry at (s1 row, s2 row, context) has the sum of the three keys
+            row_keys = (s1.rows @ s1.rstride)[:, None]
+            col_keys = (s2.rows @ s2.rstride)[None, :] + contexts[:, None]
             B = np.empty((len(contexts), len(s1.rows), len(s2.rows)))
-            for s, ctx in enumerate(contexts):
-                others = [self.merge_col(s1.comp, tuple(c2.modes), r2, ctx_modes, ctx)
-                          for r2 in s2.rows]
-                W = s1.pm.solve(self._block(s1.modes, s1.rows, s1.comp, others))
-                W = s2.pm.solve(W.T).T
-                B[s] = W
-            if node.parent != -1 and self.states[node.index].zero:
-                B = np.zeros_like(B)
-            transfers[node.index] = B
+            for s in range(len(contexts)):
+                W = s1.pm.solve(self.oracle.lookup(row_keys + col_keys[s]))
+                B[s] = s2.pm.solve(W.T).T
+            transfers[node.index] = np.zeros_like(B) if zero else B
         return HTensor(self.tree, self.shape, leaf_frames, transfers)
 
     # -- validation ---------------------------------------------------------------
@@ -623,15 +621,15 @@ class _CrossRun:
     def validate(self, X: HTensor):
         from .htensor import ht_entries
 
-        probes = build_training_set(self.shape, PROBE_CROSSES, self.rng).indices
+        probes = np.array(build_training_set(self.shape, PROBE_CROSSES, self.rng).indices,
+                          dtype=np.intp)
         exact = self.oracle.entries(probes)
-        approx = ht_entries(X, np.array(probes))
+        gap = exact - ht_entries(X, probes)
         denom = np.linalg.norm(exact)
         if denom == 0.0:
             scale = self.oracle.max_abs
-            err = np.linalg.norm(approx) / scale if scale > 0 else 0.0
-            return err, probes, exact - approx
-        return float(np.linalg.norm(exact - approx) / denom), probes, exact - approx
+            return (np.linalg.norm(gap) / scale if scale > 0 else 0.0), probes, gap
+        return float(np.linalg.norm(gap) / denom), probes, gap
 
     # -- driver ---------------------------------------------------------------
 
@@ -652,7 +650,7 @@ class _CrossRun:
             self.eps_node *= 0.25
             self.extra_contexts += 1
             worst = np.argsort(-np.abs(gap))[:3]
-            self.hints = [probes[i] for i in worst]
+            self.hints = probes[worst]
         return X, diag
 
 

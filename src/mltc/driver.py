@@ -30,7 +30,7 @@ from . import fem
 from .colloc import CollocationGrid
 from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
-from .errors import BudgetError, EllipticityError
+from .errors import BudgetError, EllipticityError, PivotError
 from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at, solve_ladder)
 from .fields import CoefficientModel, check_parameters
@@ -97,6 +97,8 @@ class LevelDiagnostics:
     # fem.DIRECT_MAX_LEVEL, -1 where a fiber's solve fell back to the LU
     pcg_iterations: int = 0
     time_s: float = 0.0
+    step1_s: float = 0.0         # wall time of step 1 (column basis) and of
+    step2_s: float = 0.0         # step 2 (cross approximation)
     cross_residual: float = float("nan")
     converged: bool = False
 
@@ -224,10 +226,11 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     solves_reused is 0; pde_solves still counts two solves per fiber.  The
     table in fem's module docstring gives each solver's distance from
     solve_at and the bitwise rules that pin these counts.  Returns
-    the surrogate and per-level diagnostics; a budget abort (BudgetError) or a
+    the surrogate and per-level diagnostics; a budget abort (BudgetError), a
     coefficient that is nonpositive at a collocation point (EllipticityError)
-    is raised with the diagnostics gathered so far attached as
-    `partial_diagnostics`.
+    or a numerical failure (a singular pivot, PivotError, or a non-finite
+    value or failed factorization, ArithmeticError) is raised with the
+    diagnostics gathered so far attached as `partial_diagnostics`.
 
     `threads` accepts only 1 and does nothing else; the benchmark still
     passes it, and it goes away with the next change to the benchmark.
@@ -287,7 +290,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         try:
             result: ApproxResult = approximate_tensor(
                 source, tree, eps_l, rng=rng, rank_cap=rank_cap)
-        except (BudgetError, EllipticityError) as err:
+        except (BudgetError, EllipticityError, PivotError, ArithmeticError) as err:
             err.partial_diagnostics = diags + [diag]    # counted by `finally`
             raise
         finally:
@@ -298,6 +301,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
             diag.pcg_iterations = -1 if min(pcg, default=0) < 0 else max(pcg, default=0)
         diag.step1_evals = result.step1_evals
         diag.step2_evals = result.step2_evals
+        diag.step1_s, diag.step2_s = result.step1_time, result.step2_time
         diag.cross_residual = result.cross_diag.validation_residual
         diag.converged = result.cross_diag.converged
         rep = storage_and_ranks(result.tensor)

@@ -1,10 +1,11 @@
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mltc import cli, driver
+from mltc import cli, cross, driver, fem
 from mltc.cli import main
 from mltc.config import ExperimentConfig, load_config
 from mltc.errors import BudgetError, ConfigError, EllipticityError
@@ -43,6 +44,43 @@ def unconverged_at(call):
             result.cross_diag.converged = False
             result.cross_diag.validation_residual = 0.75
         return result
+
+    return wrapped
+
+
+def failing_at(call, failure, monkeypatch):
+    """driver.approximate_tensor whose `call`-th call (from 1) fails numerically:
+    its fibers are NaN ("fiber"), or every pivot block it factorizes has a zero
+    on the diagonal ("pivot")."""
+    approximate = driver.approximate_tensor
+    calls = []
+
+    def wrapped(source, *args, **kwargs):
+        calls.append(source)
+        if len(calls) == call and failure == "fiber":
+            source._fetch = lambda j: np.full(source.n_spatial, np.nan)
+        elif len(calls) == call:
+            factorize = cross.PivotMatrix.__init__
+
+            def singular(self, M):
+                factorize(self, M)
+                self._singular = True
+
+            monkeypatch.setattr(cross.PivotMatrix, "__init__", singular)
+        return approximate(source, *args, **kwargs)
+
+    return wrapped
+
+
+def failing_banded_solve(at_level):
+    """fem._banded_solve that fails like a factorization that is not positive
+    definite at `at_level` and solves every other level."""
+    banded_solve = fem._banded_solve
+
+    def wrapped(y, level, model):
+        if level == at_level:
+            raise ArithmeticError("banded factorization failed (dpbtrf info 3)")
+        return banded_solve(y, level, model)
 
     return wrapped
 
@@ -174,6 +212,10 @@ class TestRun:
             in report
         assert ("BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
                 "MKL_NUM_THREADS=unset\n") in report
+        # one line per step, one wall time per level
+        for step in ("1 \\(column basis\\)", "2 \\(cross approximation\\)"):
+            assert re.search(rf"^build step {step} seconds per level: "
+                             r"\d+\.\d{3} \d+\.\d{3}$", report, re.M)
 
     def test_lambda_zero_run_is_exact(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="zero", max_level="2",
@@ -248,6 +290,52 @@ class TestRun:
         assert all(int(r["pde_solves"]) > 0 for r in levels)
         assert [r["eps_level"] for r in levels] == ["", ""]
         assert not (tmp_path / "out" / "errors.csv").exists()
+
+    @pytest.mark.parametrize("failure", ["fiber", "pivot"])
+    def test_numerical_failure_keeps_levels(self, tmp_path, monkeypatch, capsys,
+                                            failure):
+        # approximate_tensor call 2 is level 1 of the main build
+        monkeypatch.setattr(driver, "approximate_tensor",
+                            failing_at(2, failure, monkeypatch))
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 5
+        assert "numerical failure: " in capsys.readouterr().err
+        levels = read_rows(tmp_path / "out" / "levels.csv")
+        assert [r["level"] for r in levels] == ["0", "1"]
+        assert int(levels[0]["pde_solves"]) > 0
+        assert [r["eps_level"] for r in levels] == ["", ""]
+        assert not (tmp_path / "out" / "errors.csv").exists()
+
+    def test_failed_banded_validation_keeps_levels(self, tmp_path, monkeypatch, capsys):
+        # validation solves levels 0-1 by banded Cholesky; the build does not
+        monkeypatch.setattr(fem, "_banded_solve", failing_banded_solve(1))
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 5
+        assert "numerical failure: banded factorization failed" in capsys.readouterr().err
+        levels = read_rows(tmp_path / "out" / "levels.csv")
+        assert [r["level"] for r in levels] == ["0", "1"]
+        assert all(int(r["pde_solves"]) > 0 for r in levels)
+        assert [r["eps_level"] for r in levels] == ["", ""]
+        assert not (tmp_path / "out" / "errors.csv").exists()
+
+    def test_step_times_are_reported(self, tmp_path, monkeypatch):
+        # each level's step times reach report.txt, in level order
+        approximate = driver.approximate_tensor
+        calls = []
+
+        def timed(*args, **kwargs):
+            result = approximate(*args, **kwargs)
+            calls.append(result)
+            result.step1_time, result.step2_time = 0.25 * len(calls), 1.5 * len(calls)
+            return result
+
+        monkeypatch.setattr(driver, "approximate_tensor", timed)
+        path = write_config(tmp_path / "c.ini", ref_level="1", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "build step 1 (column basis) seconds per level: 0.250 0.500\n" in report
+        assert ("build step 2 (cross approximation) seconds per level: 1.500 3.000\n"
+                in report)
 
     def test_unconverged_level_is_reported(self, tmp_path, monkeypatch, capsys):
         # approximate_tensor call 2 is level 1 of the main build
@@ -386,6 +474,25 @@ class TestSweep:
                            out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), "--levels", "1,2"]) == code
         assert calls == [3, 1, 2]
+        rows = read_rows(tmp_path / "out" / "errors.csv")
+        assert [r["max_level"] for r in rows] == ["1"]
+        assert float(rows[0]["eps_ml_u"]) > 0
+
+    @pytest.mark.parametrize("failure", ["fiber", "pivot", "banded"])
+    def test_numerical_failure_keeps_finished_rows(self, tmp_path, monkeypatch,
+                                                   capsys, failure):
+        # approximate_tensor calls: the reference build's levels 0-3, the L=1
+        # build's 0-1, then call 7 is level 0 of the L=2 build; only L=2's
+        # validation solves level 2 by banded Cholesky
+        if failure == "banded":
+            monkeypatch.setattr(fem, "_banded_solve", failing_banded_solve(2))
+        else:
+            monkeypatch.setattr(driver, "approximate_tensor",
+                                failing_at(7, failure, monkeypatch))
+        cfg = write_config(tmp_path / "c.ini", max_level="2", ref_level="3",
+                           out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1,2"]) == 5
+        assert "numerical failure: " in capsys.readouterr().err
         rows = read_rows(tmp_path / "out" / "errors.csv")
         assert [r["max_level"] for r in rows] == ["1"]
         assert float(rows[0]["eps_ml_u"]) > 0

@@ -10,7 +10,7 @@ from mltc.cross import (DEFAULT_RANK_CAP, ColumnSource, EntryOracle, EvalBudget,
                         PivotMatrix, approximate_tensor, build_training_set,
                         cross_indices, greedy_column_basis, hier_cross,
                         lift_spatial, reduce_oracle)
-from mltc.errors import BudgetError
+from mltc.errors import BudgetError, PivotError
 from mltc.htensor import build_tree, ht_entries, ht_full
 
 from conftest import random_htensor
@@ -130,6 +130,43 @@ class TestEntryOracle:
             assert fresh.count == 0
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(index_batches(), st.data())
+    def test_fn_sees_new_indices_in_first_seen_order(self, case, data):
+        # batches reach the oracle as index arrays (entries) or as flat keys
+        # (lookup, in a random 2-D layout); each fn call must hold exactly the
+        # indices not cached before it, once each, in first-seen order
+        shape, batches = case
+        T = np.random.default_rng(len(shape)).standard_normal(shape)
+        received = []
+
+        def fn(idx):
+            received.append(list(map(tuple, idx.tolist())))
+            return T[tuple(idx.T)]
+
+        budget = EvalBudget(None)
+        oracle = EntryOracle(shape, fn, budget=budget)
+        seen, expected = set(), []
+        for batch in batches:
+            idx = np.array(batch, dtype=int).reshape(-1, len(shape))
+            new = [i for i in dict.fromkeys(map(tuple, idx.tolist())) if i not in seen]
+            seen.update(new)
+            if new:
+                expected.append(new)
+            if data.draw(st.booleans()):
+                got = oracle.entries(idx)
+            else:
+                keys = np.ravel_multi_index(tuple(idx.T), shape)
+                if len(keys) % 2 == 0:
+                    keys = keys.reshape(2, -1)
+                got = oracle.lookup(keys)
+                assert got.shape == keys.shape
+                got = got.ravel()
+            assert np.array_equal(got, T[tuple(idx.T)])
+        assert received == expected
+        assert budget.used == oracle.count == len(seen)
+
+
 class TestTrainingSet:
     def test_cross_shape(self):
         got = set(cross_indices((3, 3), (1, 1)))
@@ -246,6 +283,94 @@ class TestPivotMatrix:
     def test_singular_detected(self):
         M = np.array([[1.0, 2.0], [2.0, 4.0]])
         assert PivotMatrix(M).rcond_estimate < 1e-12
+        with pytest.raises(PivotError):
+            PivotMatrix(np.zeros((2, 2))).solve(np.ones((2, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 15), st.integers(1, 600), st.integers(-30, 30),
+           st.integers(0, 2**32 - 1))
+    def test_solve_is_bitwise_solve_triangular(self, n, m, scale, seed):
+        # the reference solves the same permuted LU factor with scipy's wrapper
+        from scipy.linalg import solve_triangular
+
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((n, n)) * 2.0 ** scale
+        B = rng.standard_normal((n, m))
+        pm = PivotMatrix(M)
+        Z = solve_triangular(pm._lu, B[pm._pr, :], lower=True, unit_diagonal=True)
+        Z = solve_triangular(pm._lu, Z, lower=False)
+        X = np.empty_like(Z)
+        X[pm._pc, :] = Z
+        assert np.array_equal(pm.solve(B), X)
+
+
+class ScriptedRng:
+    """An rng whose integers(n) returns the scripted values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def integers(self, n):
+        value = self.values.pop(0)
+        assert 0 <= value < n
+        return value
+
+
+class TestCrossIndexing:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.sampled_from(["balanced", "linear"]), st.data())
+    def test_block_matches_dense_gather(self, d, shape_name, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
+        T = np.random.default_rng(d).standard_normal(shape)
+        tree = build_tree(d, shape_name)
+        node = tree.nodes[data.draw(st.sampled_from(
+            [i for i in range(len(tree.nodes)) if i != tree.root]))]
+        run = cross._CrossRun(dense_oracle(T), tree, 1e-8, None, DEFAULT_RANK_CAP)
+        state = run.state_for(node)
+
+        def draw_rows(modes):
+            index = st.tuples(*(st.integers(0, shape[m] - 1) for m in modes))
+            rows = data.draw(st.lists(index, min_size=1, max_size=6))
+            return np.array(rows, dtype=np.intp).reshape(len(rows), len(modes))
+
+        rows, cols = draw_rows(state.modes), draw_rows(state.comp)
+        want = np.empty((len(rows), len(cols)))
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                full = [0] * d
+                for m, v in zip(state.modes + state.comp, list(r) + list(c)):
+                    full[m] = v
+                want[i, j] = T[tuple(full)]
+        assert np.array_equal(run._block(state, rows, cols), want)
+
+    def test_node_pools_worked_example(self, monkeypatch):
+        # modes (0, 1, 2, 3) of sizes (3, 3, 2, 2); the node is leaf {0}, its
+        # parent {0, 1} and its sibling {1}
+        monkeypatch.setattr(cross, "POOL_CAP", 7)
+        tree = build_tree(4, "balanced")
+        # draws: rows 2 (held), 0 (held), 1 (new, now three); one extra
+        # context over modes (2, 3): (1, 1); sibling centers 1 (held), 0
+        rng = ScriptedRng([2, 0, 1, 1, 1, 1, 0])
+        run = cross._CrossRun(dense_oracle(np.zeros((3, 3, 2, 2))), tree, 1e-8, rng,
+                              DEFAULT_RANK_CAP)
+        run.extra_contexts = 1
+        leaf_node = tree.nodes[tree.leaf_of_mode[0]]
+        parent, leaf = (run.state_for(tree.nodes[i])
+                        for i in (leaf_node.parent, leaf_node.index))
+        assert (parent.modes, parent.comp) == ((0, 1), (2, 3))
+        assert (leaf.modes, leaf.comp) == ((0,), (1, 2, 3))
+        parent.rows = np.array([[2, 1], [0, 1]])
+        parent.cols = np.array([[1, 0], [0, 1]])
+        rows, pool = run.node_pools(leaf, parent, (1,))
+        assert rng.values == []
+        # parent rows restricted to mode 0, then the random draw
+        assert rows.tolist() == [[2], [0], [1]]
+        # sibling centers 1 and 0; the cross through 1 over mode 1 is 1, 0, 2,
+        # each joined with the contexts (1, 0), (0, 1), (1, 1) in turn; the
+        # cross through 0 adds nothing new, and POOL_CAP keeps the first seven
+        assert pool.tolist() == [[1, 1, 0], [1, 0, 1], [1, 1, 1],
+                                 [0, 1, 0], [0, 0, 1], [0, 1, 1],
+                                 [2, 1, 0]]
 
 
 class TestHierCross:
@@ -279,6 +404,15 @@ class TestHierCross:
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             hier_cross(dense_oracle(np.ones(3)), build_tree(1), 1e-8)
+
+    def test_flat_keys_must_fit_intp(self):
+        # 2^66 entries: block keys would wrap around in np.intp, so the first
+        # lookup (np.unravel_index of its misses) must refuse the shape
+        oracle = EntryOracle((2**22,) * 3, lambda idx: np.ones(len(idx)))
+        with pytest.raises(ValueError):
+            hier_cross(oracle, build_tree(3, "balanced"), 1e-8,
+                       rng=np.random.default_rng(0))
+        assert oracle.count == 0
 
     def test_self_reproduction(self, rng):
         tree = build_tree(4, "balanced")
@@ -353,7 +487,8 @@ class TestHierCross:
             run = cross._CrossRun(oracle, tree, 1e-8, np.random.default_rng(77),
                                   DEFAULT_RANK_CAP)
             X, _ = run.run()
-            pivots = [(i, st.modes, st.rows, st.cols) for i, st in sorted(run.states.items())]
+            pivots = [(i, st.modes, st.rows.tolist(), st.cols.tolist())
+                      for i, st in sorted(run.states.items())]
             runs.append((oracle.count, pivots, X))
         (count_a, pivots_a, X_a), (count_b, pivots_b, X_b) = runs
         assert count_a == count_b and pivots_a == pivots_b
@@ -370,7 +505,8 @@ class TestHierCross:
 
         def tracked_find_pivot(self, st, row_centers, col_pool):
             counts.append(0)
-            pool.append(len([c for c in col_pool if c not in st.cols]))
+            known = st.cols.tolist()
+            pool.append(len([c for c in col_pool.tolist() if c not in known]))
             try:
                 return find_pivot(self, st, row_centers, col_pool)
             finally:
