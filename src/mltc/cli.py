@@ -18,8 +18,9 @@ named the same way, as a "reference level", by `run` and, on stderr, by
 `sweep`, which names the levels of each swept build on stderr as well ("L=2
 level 1").  report.txt also lists, per level, the most PCG iterations a
 build fiber's solve and a validation solve took (see driver.run_ml and
-driver.error_metrics), and the wall time of each level's step 1 (column
-basis) and step 2 (cross approximation).
+driver.error_metrics), the wall time of each level's step 1 (column basis)
+and step 2 (cross approximation), and the fibers each level's step 2 fetched,
+whose FE solves that step's time includes.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                  + " ".join(f"{d.step1_s:.3f}" for d in diags))
     lines.append("build step 2 (cross approximation) seconds per level: "
                  + " ".join(f"{d.step2_s:.3f}" for d in diags))
+    # step 2's time includes the FE solves of the fibers it fetches first
+    lines.append("build fibers fetched in step 2 per level: "
+                 + " ".join(str(d.fibers - d.step1_evals) for d in diags))
     lines.append("validation pcg iterations per level (0 LU, -1 fell back to LU): "
                  + " ".join(str(k) for k in metrics.pcg_iterations))
     lines.append(f"total time: {elapsed:.1f}s")

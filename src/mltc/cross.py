@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -177,11 +177,15 @@ class ColumnSource:
         self._cache[j] = col
         return col
 
-    def columns(self, js) -> dict:
-        """Fibers by parametric multi-index; `js` is a list of int tuples."""
-        for j in sorted({j for j in js if j not in self._cache}):
+    def columns(self, js) -> list:
+        """Fibers at the rows of an (m, N) int array (or a list of N-tuples), in
+        row order; each miss is one `column` call, in ascending multi-index
+        (flat C-order) order."""
+        keys = list(map(tuple, np.asarray(js).tolist()))
+        cache = self._cache
+        for j in sorted({j for j in keys if j not in cache}):
             self.column(j)
-        return {j: self._cache[j] for j in js}
+        return [cache[j] for j in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +204,29 @@ def cross_array(shape, center) -> np.ndarray:
     return out
 
 
-def cross_indices(shape, center) -> list:
-    """cross_array as a list of int tuples."""
-    return list(map(tuple, cross_array(shape, center).tolist()))
-
-
 @dataclass
 class TrainingSet:
     shape: tuple
-    indices: list = field(default_factory=list)
+    indices: np.ndarray     # (m, d) intp rows, distinct, in first-seen order
 
     def enrich(self, s: int, rng) -> None:
-        """Add s crosses with uniformly random centers."""
-        held = dict.fromkeys(self.indices)
+        """Add s crosses with uniformly random centers; held rows keep their places."""
+        rows = [self.indices]
         for _ in range(s):
             center = tuple(int(rng.integers(n)) for n in self.shape)
-            held.update(dict.fromkeys(cross_indices(self.shape, center)))
-        self.indices = list(held)
+            rows.append(cross_array(self.shape, center))
+        rows = np.concatenate(rows)
+        keys = np.ravel_multi_index(tuple(rows.T), self.shape)
+        _, first = np.unique(keys, return_index=True)
+        self.indices = rows[np.sort(first)]
 
 
 def build_training_set(shape, s: int, rng) -> TrainingSet:
     """Union of s crosses with uniformly random centers."""
     if s < 1:
         raise ValueError("cross count must be at least 1")
-    train = TrainingSet(tuple(int(n) for n in shape))
+    shape = tuple(int(n) for n in shape)
+    train = TrainingSet(shape, np.empty((0, len(shape)), dtype=np.intp))
     train.enrich(s, rng)
     return train
 
@@ -247,16 +250,14 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
     n = source.n_spatial
     max_rank = n if max_rank is None else min(max_rank, n)
     V = np.zeros((n, 0))
-    norms2, res2 = {}, {}
+    cols, norms2, res2 = [], [], []     # per trained column: c, |c|^2, |c - V V^T c|^2
 
     def admit(js):
-        cols = source.columns(js)
-        for j, c in cols.items():
-            if j in norms2:
-                continue
-            norms2[j] = float(c @ c)
+        for c in source.columns(js):
+            cols.append(c)
+            norms2.append(float(c @ c))
             p = V.T @ c
-            res2[j] = max(norms2[j] - float(p @ p), 0.0)
+            res2.append(max(norms2[-1] - float(p @ p), 0.0))
 
     admit(train.indices)
     loops = 0
@@ -266,15 +267,15 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
             before = len(train.indices)
             train.enrich(S_PER_LOOP, rng)
             admit(train.indices[before:])
-        threshold = eps * math.sqrt(max(norms2.values()))
+        threshold = eps * math.sqrt(max(norms2))
         appended = False
         while True:
-            j_star = max(res2, key=lambda j: res2[j])
+            j_star = max(range(len(res2)), key=res2.__getitem__)
             estimate = math.sqrt(res2[j_star])
             if estimate <= threshold:
                 break
             # the incremental estimate suffers cancellation; recompute exactly
-            c = source.column(j_star)
+            c = cols[j_star]
             w = c - V @ (V.T @ c)
             w -= V @ (V.T @ w)  # one re-orthogonalization pass
             nrm = float(np.linalg.norm(w))
@@ -283,8 +284,8 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
                 continue
             v = w / nrm
             V = np.hstack([V, v[:, None]])
-            for j in norms2:
-                p = float(v @ source.column(j))
+            for j, c in enumerate(cols):
+                p = float(v @ c)
                 res2[j] = max(res2[j] - p * p, 0.0)
             appended = True
             break
@@ -308,9 +309,8 @@ def reduce_oracle(source: ColumnSource, V: np.ndarray) -> EntryOracle:
     shape = source.param_shape + (V.shape[1],)
 
     def fn(idx):
-        js = list(map(tuple, idx[:, :-1].tolist()))
-        cols = source.columns(js)
-        return [float(V[:, k] @ cols[j]) for j, k in zip(js, idx[:, -1].tolist())]
+        cols = source.columns(idx[:, :-1])
+        return [float(V[:, k] @ c) for c, k in zip(cols, idx[:, -1].tolist())]
 
     return EntryOracle(shape, fn, budget=source.budget)
 
@@ -621,8 +621,7 @@ class _CrossRun:
     def validate(self, X: HTensor):
         from .htensor import ht_entries
 
-        probes = np.array(build_training_set(self.shape, PROBE_CROSSES, self.rng).indices,
-                          dtype=np.intp)
+        probes = build_training_set(self.shape, PROBE_CROSSES, self.rng).indices
         exact = self.oracle.entries(probes)
         gap = exact - ht_entries(X, probes)
         denom = np.linalg.norm(exact)

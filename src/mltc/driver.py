@@ -107,10 +107,11 @@ class MLSurrogate:
     """Sum over levels of interpolated, compressed level differences.
 
     Building it maps each level's spatial leaf frame U_l (H1 coordinates) to
-    nodal values on the level's own grid, G_l = R_l^-1 U_l, and to the psi
-    row U_l^T psi_vec_l, and contracts the expectation coefficients.  A query
-    then contracts only the parametric modes, to per-level (M, r_l)
-    coefficients C_l.
+    nodal values on the level's own grid, G_l = R_l^-1 U_l, forms the psi row
+    G_l^T m_l from the level's mass vector m_l, and contracts the expectation
+    coefficients.  So one frame per level serves nodal values, psi and the
+    expectation.  A query then contracts only the parametric modes, to
+    per-level (M, r_l) coefficients C_l.
     """
 
     def __init__(self, model: CoefficientModel, n_params: int, plan: LevelPlan,
@@ -121,14 +122,14 @@ class MLSurrogate:
         self.records = records
         self._spatial = []          # per level: U_l, the (n_l, r_l) frame in H1 coordinates
         self._nodal_frames = []     # per level: G_l, the same frame in nodal values
-        self._psi_rows = []         # per level: the (r_l,) vector U_l^T psi_vec_l
+        self._psi_rows = []         # per level: the (r_l,) vector G_l^T m_l
         for rec in records:
             X = rec.tensor
             U = X.leaf_frames[X.tree.leaf_of_mode[n_params]]
-            frame = h1_frame(rec.level)
+            G = h1_frame(rec.level).from_h1(U)
             self._spatial.append(U)
-            self._nodal_frames.append(frame.from_h1(U))
-            self._psi_rows.append(U.T @ frame.psi_vec)
+            self._nodal_frames.append(G)
+            self._psi_rows.append(G.T @ fem.mass_vector(rec.level))
         self._mean_coeffs = [
             self._level_coefficients(rec, {m: rec.grid.quadrature_weights[None, :]
                                            for m in range(n_params)})

@@ -23,16 +23,12 @@ stiffness.
 The H1 coordinate map is the sparse Cholesky factor R of the unit-coefficient
 stiffness: ||R c||_2 equals the H1_0 seminorm of the finite element function
 with coefficients c, so tensors can store R-coordinates and read off energy
-norms as Euclidean norms.  A frame keeps R alone.  The SuperLU factor, its
-CSR copy and R's CSR transpose exist only while the frame is built, each
-freed as soon as the next step no longer needs it; keeping the transpose and
-a live factor as well doubles the peak memory of a frame (at level 7, 1.5 GB
-instead of 0.74 GB).  Two rules keep R, psi_vec and every coordinate on one
-floating-point path.  R is the product diags(1/sqrt(d)) @ U, not U with its
-rows scaled in place: the product orders the column indices within each row
-differently, and that order is the summation order of to_h1.  psi_vec is
-solved on a CSR copy of R^T, not on the CSC view R.T, which scipy solves by
-another path that differs by up to 2.5e-16 relative.
+norms as Euclidean norms.  A frame keeps R alone.  The SuperLU factor and its
+CSR copy exist only while the frame is built, each freed as soon as the next
+step no longer needs it.  One rule keeps R and every coordinate on one
+floating-point path: R is the product diags(1/sqrt(d)) @ U, not U with its
+rows scaled in place, because the product orders the column indices within
+each row differently, and that order is the summation order of to_h1.
 
 The FE solves use three solvers; this table is the one place that states
 their speeds and distances (cut = DIRECT_MAX_LEVEL):
@@ -489,11 +485,8 @@ class H1Frame:
     For zero-boundary coefficient vectors c, ||R c[p]|| equals the H1_0
     seminorm of the represented function.
 
-    The frame keeps R, p, the mass vector and psi_vec, nothing of the
-    factorization: to_h1 multiplies by R and from_h1 solves with it, and
-    neither needs R^T.  psi_vec alone does, once, so the CSR transpose is
-    built as a temporary argument of that solve (solving on the CSC view R.T
-    would change psi_vec's last bits; see the module docstring).
+    The frame keeps R and p, nothing of the factorization: to_h1 multiplies
+    by R and from_h1 solves with it.
     """
 
     def __init__(self, level: int):
@@ -511,11 +504,6 @@ class H1Frame:
         if np.any(d <= 0.0):
             raise ArithmeticError("stiffness factorization is not positive definite")
         self.R = (sp.diags(1.0 / np.sqrt(d)) @ U).tocsr()
-        del U
-        self.mass = mass_vector(level)
-        # psi in H1 coordinates: psi(c) = m . c = (R^-T m[p]) . (R c[p])
-        self.psi_vec = spsolve_triangular(self.R.T.tocsr(), self.mass[self.perm],
-                                          lower=True)
 
     def to_h1(self, c: np.ndarray) -> np.ndarray:
         return self.R @ np.asarray(c)[self.perm]

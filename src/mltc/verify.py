@@ -112,6 +112,11 @@ def suite_driver():
     err = np.linalg.norm(surrogate.evaluate(np.array([0.4, -0.9])) - u_det)
     if err > 1e-10 * np.linalg.norm(u_det):
         return "degenerate model surrogate is parameter dependent"
+    # psi is read off per-level rows; it must be the mass-weighted nodal sum
+    Y = np.random.default_rng(9).uniform(-1, 1, (5, 2))
+    want = surrogate.evaluate_batch(Y) @ fem.mass_vector(1)
+    if not np.allclose(surrogate.psi_batch(Y), want, rtol=1e-12, atol=0.0):
+        return "psi_batch differs from the mass-weighted nodal surrogate"
     return None
 
 

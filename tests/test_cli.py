@@ -216,6 +216,11 @@ class TestRun:
         for step in ("1 \\(column basis\\)", "2 \\(cross approximation\\)"):
             assert re.search(rf"^build step {step} seconds per level: "
                              r"\d+\.\d{3} \d+\.\d{3}$", report, re.M)
+        # the fibers fetched in step 2, whose FE solves its time includes: a
+        # fiber takes one solve at level 0 and two above it
+        fibers = [int(r["pde_solves"]) // min(level + 1, 2) for level, r in enumerate(levels)]
+        step2 = " ".join(str(f - int(r["step1"])) for f, r in zip(fibers, levels))
+        assert f"build fibers fetched in step 2 per level: {step2}\n" in report
 
     def test_lambda_zero_run_is_exact(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="zero", max_level="2",

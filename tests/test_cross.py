@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mltc import cross, htensor
 from mltc.cross import (DEFAULT_RANK_CAP, ColumnSource, EntryOracle, EvalBudget,
                         PivotMatrix, approximate_tensor, build_training_set,
-                        cross_indices, greedy_column_basis, hier_cross,
+                        cross_array, greedy_column_basis, hier_cross,
                         lift_spatial, reduce_oracle)
 from mltc.errors import BudgetError, PivotError
 from mltc.htensor import build_tree, ht_entries, ht_full
@@ -169,14 +169,29 @@ class TestEntryOracle:
 
 class TestTrainingSet:
     def test_cross_shape(self):
-        got = set(cross_indices((3, 3), (1, 1)))
-        assert got == {(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)}
-        assert len(got) == 5
+        # the center, then per position its other values in ascending order
+        got = cross_array((3, 3), (1, 1))
+        assert got.tolist() == [[1, 1], [0, 1], [2, 1], [1, 0], [1, 2]]
 
     def test_overlap_bound(self, rng):
         train = build_training_set((5,) * 10, 3, rng)
+        assert train.indices.dtype == np.intp and train.indices.shape[1] == 10
         assert len(train.indices) <= 3 * (10 * 5 - 9)
-        assert len(set(train.indices)) == len(train.indices)
+        assert len(np.unique(train.indices, axis=0)) == len(train.indices)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_seen_union_of_crosses(self, seed):
+        shape = (3, 2, 4)
+        train = build_training_set(shape, 2, np.random.default_rng(seed))
+        held = train.indices.copy()
+        train.enrich(3, np.random.default_rng(seed + 10))
+        assert np.array_equal(train.indices[:len(held)], held)   # held rows stay put
+        union = {}
+        for gen, s in ((np.random.default_rng(seed), 2), (np.random.default_rng(seed + 10), 3)):
+            for _ in range(s):
+                center = [int(gen.integers(n)) for n in shape]
+                union.update(dict.fromkeys(map(tuple, cross_array(shape, center).tolist())))
+        assert list(map(tuple, train.indices.tolist())) == list(union)
 
     def test_zero_crosses_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -352,7 +352,8 @@ def h1_route(surrogate, comps):
     L = surrogate.max_level
     nodal = sum(prolongate(h1_frame(lev).from_h1(Z.T), lev, L)
                 for lev, Z in enumerate(comps)).T
-    psi = sum(Z @ h1_frame(lev).psi_vec for lev, Z in enumerate(comps))
+    psi = sum(h1_frame(lev).from_h1(Z.T).T @ fem.mass_vector(lev)
+              for lev, Z in enumerate(comps))
     return nodal, psi
 
 
@@ -386,6 +387,14 @@ class TestNodalFrames:
         e_nodal, e_psi = h1_route(surrogate, mean)
         assert_close(surrogate.expectation(), e_nodal[0])
         assert_close(surrogate.expectation_psi(), e_psi[0])
+
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_psi_is_mass_weighted_nodal_sum(self, build, request, rng):
+        surrogate, _ = request.getfixturevalue(build)
+        m = fem.mass_vector(surrogate.max_level)
+        Y = rng.uniform(-1, 1, (9, surrogate.n_params))
+        assert_close(surrogate.psi_batch(Y), surrogate.evaluate_batch(Y) @ m, rtol=1e-13)
+        assert_close(surrogate.expectation_psi(), surrogate.expectation() @ m, rtol=1e-13)
 
     @pytest.mark.parametrize("M", [1, 7, 50])
     def test_row_blocks_equal_whole_product(self, tight_n2_l2, monkeypatch, M):

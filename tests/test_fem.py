@@ -158,24 +158,22 @@ class TestAssemble:
 
 
 def reference_frame(level):
-    """(perm, R, psi_vec) with every temporary kept alive: the factor's CSR
-    copy U, R = diags(1/sqrt(d)) @ U, and psi_vec solved on R's CSR transpose."""
+    """(perm, R) with every temporary kept alive: the factor's CSR copy U and
+    R = diags(1/sqrt(d)) @ U."""
     lu = fem._factor_spd(assemble(build_grid(level), ONES))
     perm = np.argsort(lu.perm_c)
     U = lu.U.tocsr()
     R = (sp.diags(1.0 / np.sqrt(U.diagonal())) @ U).tocsr()
-    psi_vec = spsolve_triangular(R.T.tocsr(), mass_vector(level)[perm], lower=True)
-    return perm, R, psi_vec
+    return perm, R
 
 
 class TestH1Frame:
     @pytest.mark.parametrize("level", range(6))
     def test_bitwise_equal_to_reference(self, level, rng):
-        perm, R, psi_vec = reference_frame(level)
+        perm, R = reference_frame(level)
         frame = h1_frame(level)
         assert_bitwise_equal(frame.R, R)
         assert np.array_equal(frame.perm, perm)
-        assert np.array_equal(frame.psi_vec, psi_vec)
         n = build_grid(level).n
         c = rng.standard_normal(n)
         assert np.array_equal(frame.to_h1(c), R @ c[perm])
@@ -186,8 +184,8 @@ class TestH1Frame:
             assert np.array_equal(frame.from_h1(z), expected.reshape(z.shape))
 
     def test_keeps_no_transpose(self):
-        # the CSR transpose of R is a temporary of the psi_vec solve
-        assert not hasattr(h1_frame(2), "Rt")
+        # a frame keeps R alone: no transpose, mass vector or factorization
+        assert set(vars(h1_frame(2))) == {"level", "perm", "R"}
 
 
 class TestSolve:
@@ -497,15 +495,6 @@ class TestPsi:
         rhs = 2.5 * functional_psi(v, level) + functional_psi(w, level)
         assert np.isclose(lhs, rhs, rtol=1e-14)
 
-    def test_psi_vec_shortcut(self, rng):
-        model = make_model("affine", "exponential", 3)
-        y = rng.uniform(-1, 1, 3)
-        level = 2
-        d = delta_nodal(y, level, model)
-        frame = h1_frame(level)
-        assert np.isclose(frame.psi_vec @ frame.to_h1(d),
-                          functional_psi(d, level), rtol=1e-11)
-
 
 def test_mass_vector_total():
     assert np.isclose(mass_vector(3).sum(), 1.0)
@@ -522,7 +511,6 @@ def test_mass_vector_integrates_bilinear_exactly(level):
 def test_cached_arrays_are_read_only():
     # a write into a cached array would change every later solve without a word
     P = fem.prolongation_matrix(2)
-    for a in (mass_vector(2), fem.load_vector(2), h1_frame(2).mass,
-              P.indptr, P.indices, P.data):
+    for a in (mass_vector(2), fem.load_vector(2), P.indptr, P.indices, P.data):
         with pytest.raises(ValueError):
             a[:1] = 0
