@@ -1,8 +1,9 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
 Exit codes: 0 success, 2 configuration error (an unknown config key or
-section, a setting out of range, or more terms than a build's step-2 index
-can hold, found before any build), 3 budget abort, 4 loss of ellipticity
+section, a setting out of range or not finite, a config file that cannot be
+decoded, or more terms than a build's step-2 index can hold, found before
+any build), 3 budget abort, 4 loss of ellipticity
 (the coefficient is nonpositive at a collocation point of a build or at a
 validation sample), 5 numerical failure (a singular pivot block, a
 non-finite fiber or oracle value, or a banded factorization that is not
@@ -41,7 +42,7 @@ from . import verify
 from .config import ExperimentConfig, load_config
 from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, degree_schedule,
                      error_metrics, run_ml)
-from .errors import BudgetError, ConfigError, EllipticityError, PivotError
+from .errors import ABORTS, BudgetError, ConfigError, EllipticityError
 from .fem import MAX_LEVEL, build_grid
 from .fields import make_model
 
@@ -56,10 +57,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
     return cfg.validate()
-
-
-# errors that end a build with partial outputs, each with its own exit code
-_ABORTS = (BudgetError, EllipticityError, PivotError, ArithmeticError)
 
 
 def _abort(err: Exception) -> int:
@@ -182,7 +179,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
             print(warning, file=sys.stderr)
         metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                                 seed=cfg.seed, per_level=True)
-    except _ABORTS as err:
+    except ABORTS as err:
         # a failed reference build or validation keeps the levels of the
         # finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])
@@ -256,7 +253,7 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
                   f"eps_E[u]={metrics.eps_e_u:.6e} "
                   f"eps_ml[psi]={metrics.eps_ml_psi:.6e} "
                   f"eps_E[psi]={metrics.eps_e_psi:.6e}")
-    except _ABORTS as err:
+    except ABORTS as err:
         return _abort(err)
     finally:
         _write_errors_csv(out_dir / "errors.csv", rows)     # the levels finished so far
@@ -301,7 +298,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except _ABORTS as err:
+    except ABORTS as err:
         return _abort(err)
     except Exception as err:  # pragma: no cover - internal failures
         print(f"internal error: {err}", file=sys.stderr)

@@ -8,6 +8,7 @@ key never runs silently with its default.  See configs/ for bundled examples.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,8 +46,10 @@ class ExperimentConfig:
             raise ConfigError(f"max_level must be in [0, {MAX_LEVEL}]")
         if self.ref_level is not None and not self.max_level <= self.ref_level <= MAX_LEVEL:
             raise ConfigError(f"ref_level must be in [max_level, {MAX_LEVEL}]")
-        if self.eps0 <= 0:
-            raise ConfigError("eps0 must be positive")
+        if not 0 < self.eps0 < math.inf:
+            raise ConfigError("eps0 must be positive and finite")
+        if not math.isfinite(self.mean):
+            raise ConfigError("mean must be finite")
         if self.samples < 1:
             raise ConfigError("samples must be at least 1")
         if self.tree not in ("balanced", "linear"):
@@ -73,8 +76,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as err:
+        parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 
     cfg = ExperimentConfig(source=str(path))

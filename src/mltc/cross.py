@@ -244,7 +244,7 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
     columns.  The termination threshold is eps * (largest column norm seen so
     far), re-evaluated each loop.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("tolerance must be nonnegative")
     rng = np.random.default_rng() if rng is None else rng
     n = source.n_spatial
@@ -662,7 +662,7 @@ def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
     validated on random probe crosses and re-swept with tighter per-node
     tolerances when validation fails.
     """
-    if eps_ten < 0:
+    if not eps_ten >= 0:
         raise ValueError("tensor tolerance must be nonnegative")
     if len(oracle.shape) != tree.order:
         raise ValueError("oracle order must match the tree")
@@ -710,7 +710,7 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     lifts the result back to the full spatial dimension without further
     approximation.
     """
-    if eps_rel <= 0:
+    if not eps_rel > 0:
         raise ValueError("relative accuracy must be positive")
     rng = np.random.default_rng() if rng is None else rng
 

@@ -30,7 +30,7 @@ from . import fem
 from .colloc import CollocationGrid
 from .cross import (DEFAULT_EVAL_BUDGET, DEFAULT_RANK_CAP, ApproxResult,
                     ColumnSource, EvalBudget, approximate_tensor)
-from .errors import BudgetError, EllipticityError, PivotError
+from .errors import ABORTS
 from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at, solve_ladder)
 from .fields import CoefficientModel, check_parameters
@@ -219,12 +219,12 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     Per level, an oracle over ((p+1)^N, n_level) backed by cached PDE solves
     feeds the three-step compression at accuracy eps_l.  A fiber at a level
     l up to fem.DIRECT_MAX_LEVEL takes u_l(y_k) and u_{l-1}(y_k) from
-    solve_at.  When p(l) = p(l-1) the two levels share their collocation
-    nodes, and such a level takes its coarse solve u_{l-1}(y_k) from the fine
-    solves level l-1 made.  A fiber above the cut takes both from one
-    fem.solve_ladder(y_k, l) call, the ladder that validation uses too.  That
-    ladder solves rung l-1 again, so no solve is reused there and
-    solves_reused is 0; pde_solves still counts two solves per fiber.  The
+    solve_at, the latter from a memo of level l-1's solves, keyed by the
+    parameter point, when it is there.  solves_reused counts these hits;
+    they occur where p(l) = p(l-1), as Chebyshev nodes of adjacent degrees
+    never coincide.  A fiber above the cut takes both from one
+    fem.solve_ladder(y_k, l) call, the ladder that validation uses too, and
+    reuses no solve; pde_solves still counts two solves per fiber.  The
     table in fem's module docstring gives each solver's distance from
     solve_at and the bitwise rules that pin these counts.  Returns
     the surrogate and per-level diagnostics; a budget abort (BudgetError), a
@@ -246,7 +246,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
 
     records: list[LevelRecord] = []
     diags: list[LevelDiagnostics] = []
-    previous = {}       # node index -> u_{level-1}, when level-1 had the same nodes
+    memo = {}           # y.tobytes() -> solve_at(y, level - 1) of level - 1's fibers
     for level in range(L + 1):
         p = plan.degrees[level]
         eps_l = plan.accuracies[level]
@@ -255,35 +255,27 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag = LevelDiagnostics(level=level, degree=p, n_spatial=n_spatial,
                                 eps_target=eps_l)
         t0 = time.process_time()
-        by_ladder = level > fem.DIRECT_MAX_LEVEL
-        # the next level reads these solves only at the same nodes and when
-        # it solves by LU itself
-        solves = ({} if level < min(L, fem.DIRECT_MAX_LEVEL)
-                  and plan.degrees[level + 1] == p else None)
-        reused = set()
+        # this level's solves, kept when the next level solves by solve_at too
+        keep = level < min(L, fem.DIRECT_MAX_LEVEL)
+        memo_next, memo_size = {}, len(memo)
         pcg = []            # per ladder fiber: its top rung's iterations, -1 on a fallback
 
-        def fetch(j, level=level, nodes=grid.nodes, coarse=previous, solves=solves,
-                  reused=reused, pcg=pcg, by_ladder=by_ladder):
-            y = nodes[list(j)]
-            if by_ladder:
+        def fetch(j):
+            y = grid.nodes[list(j)]
+            if level > fem.DIRECT_MAX_LEVEL:
                 counts = []
                 ladder = solve_ladder(y, level, model, counts)
                 pcg.append(-1 if min(counts[-2:]) < 0 else counts[-1])
-                u, u_coarse = ladder[level], ladder[level - 1]
-            else:
-                u = solve_at(y, level, model)
-                if solves is not None:
-                    solves[j] = u
-                if level:
-                    u_coarse = coarse.get(j)
-                    if u_coarse is None:
-                        u_coarse = solve_at(y, level - 1, model)
-                    else:
-                        reused.add(j)
-            if level:
-                u = u - prolongate(u_coarse, level - 1, level)
-            return h1_frame(level).to_h1(u)
+                return fem.delta_h1(ladder[level], ladder[level - 1], level)
+            key = y.tobytes()
+            u = solve_at(y, level, model)
+            if keep:
+                memo_next[key] = u
+            # a fiber is fetched once, so its memo entry is read at most once
+            u_coarse = memo.pop(key, None)
+            if level and u_coarse is None:
+                u_coarse = solve_at(y, level - 1, model)
+            return fem.delta_h1(u, u_coarse, level)
 
         source = ColumnSource((p + 1,) * n_params, n_spatial, fetch, budget=budget)
         tree = build_tree(n_params + 1, tree_shape)
@@ -291,14 +283,14 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         try:
             result: ApproxResult = approximate_tensor(
                 source, tree, eps_l, rng=rng, rank_cap=rank_cap)
-        except (BudgetError, EllipticityError, PivotError, ArithmeticError) as err:
+        except ABORTS as err:
             err.partial_diagnostics = diags + [diag]    # counted by `finally`
             raise
         finally:
             diag.time_s = time.process_time() - t0
             diag.fibers = source.n_fetched
             diag.pde_solves = source.n_fetched * (1 if level == 0 else 2)
-            diag.solves_reused = len(reused)
+            diag.solves_reused = memo_size - len(memo)      # the entries hits popped
             diag.pcg_iterations = -1 if min(pcg, default=0) < 0 else max(pcg, default=0)
         diag.step1_evals = result.step1_evals
         diag.step2_evals = result.step2_evals
@@ -309,7 +301,7 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
         diag.r_max, diag.r_eff, diag.storage = rep.r_max, rep.r_eff, rep.storage_scalars
         records.append(LevelRecord(level, grid, result.tensor))
         diags.append(diag)
-        previous = solves or {}
+        memo = memo_next
     return MLSurrogate(model, n_params, plan, records), diags
 
 
@@ -347,6 +339,8 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
             raise ValueError("reference surrogate was built for a different problem")
         if reference.max_level < surrogate.max_level:
             raise ValueError("reference level must not be below the surrogate level")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     model = surrogate.model
     N = surrogate.n_params
     L = surrogate.max_level
@@ -370,11 +364,7 @@ def error_metrics(surrogate: MLSurrogate, reference: MLSurrogate | None = None,
         u_direct = ladder[L]
         if per_level:
             for lev in range(L + 1):
-                if lev == 0:
-                    d_nodal = ladder[0]
-                else:
-                    d_nodal = ladder[lev] - prolongate(ladder[lev - 1], lev - 1, lev)
-                z_exact = h1_frame(lev).to_h1(d_nodal)
+                z_exact = fem.delta_h1(ladder[lev], ladder[lev - 1], lev)
                 z_surr = surrogate._spatial[lev] @ coeffs[lev][i]
                 num_level[lev] += float(np.sum((z_surr - z_exact) ** 2))
         diff = frame_top.to_h1(surr_nodal[i] - u_direct)

@@ -19,3 +19,7 @@ class EllipticityError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
+
+
+# errors that end a build with partial outputs, each with its own exit code
+ABORTS = (BudgetError, EllipticityError, PivotError, ArithmeticError)

@@ -524,12 +524,21 @@ def h1_frame(level: int) -> H1Frame:
     return H1Frame(level)
 
 
+def _difference(u: np.ndarray, u_coarse: np.ndarray | None, level: int) -> np.ndarray:
+    """Nodal values of u - P u_coarse at `level`, or of u alone at level 0."""
+    return u if level == 0 else u - prolongate(u_coarse, level - 1, level)
+
+
+def delta_h1(u: np.ndarray, u_coarse: np.ndarray | None, level: int) -> np.ndarray:
+    """H1 coordinates of the level difference of the solutions u at `level` and
+    u_coarse at level - 1 (ignored at level 0); its 2-norm is the H1_0 seminorm."""
+    return h1_frame(level).to_h1(_difference(u, u_coarse, level))
+
+
 def delta_nodal(y, level: int, model: CoefficientModel) -> np.ndarray:
     """Nodal coefficients of the level difference u_level - u_{level-1}."""
     u = solve_at(y, level, model)
-    if level == 0:
-        return u
-    return u - prolongate(solve_at(y, level - 1, model), level - 1, level)
+    return _difference(u, solve_at(y, level - 1, model) if level else None, level)
 
 
 def delta_vector(y, level: int, model: CoefficientModel) -> np.ndarray:

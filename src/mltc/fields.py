@@ -130,8 +130,10 @@ def make_model(kind: str, decay: str, terms: int, mean: float = 2.0) -> Coeffici
     Affine models whose worst-case lower bound is nonpositive are still
     accepted when their sampled minimum over a 33x33 grid and 1000 random
     parameter draws stays above 0.05; the relaxation is recorded on the
-    model so reports can flag it.
+    model so reports can flag it.  A non-finite mean raises ValueError.
     """
+    if not math.isfinite(mean):
+        raise ValueError(f"mean must be finite, got {mean}")
     model = CoefficientModel(kind, decay, terms, mean)
     if kind == "affine":
         lower, _ = ellipticity_bounds(model)

@@ -129,7 +129,9 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [("max_level", "13"), ("max_level", "-1"),
                                             ("ref_level", "13"), ("rank_cap", "0"),
                                             ("eval_budget", "0"), ("eval_budget", "-1"),
-                                            ("seed", "-1")])
+                                            ("seed", "-1"), ("eps0", "nan"),
+                                            ("eps0", "inf"), ("mean", "nan"),
+                                            ("mean", "inf")])
     def test_out_of_range_rejected(self, tmp_path, monkeypatch, key, value):
         builds = []
         monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
@@ -137,6 +139,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["run", str(path)]) == 2
+        assert builds == []
+
+    def test_undecodable_file_rejected(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = tmp_path / "c.ini"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(path)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: cannot parse" in capsys.readouterr().err
         assert builds == []
 
     def test_seed_override_out_of_range(self, tmp_path, monkeypatch, capsys):

@@ -679,5 +679,13 @@ class TestApproximateTensor:
 
     def test_invalid_accuracy(self, rng):
         src = ColumnSource.from_entry_oracle(dense_oracle(np.ones((2, 2))))
-        with pytest.raises(ValueError):
-            approximate_tensor(src, build_tree(2, "balanced"), 0.0)
+        for eps in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                approximate_tensor(src, build_tree(2, "balanced"), eps)
+
+    def test_nan_step_tolerances(self, rng):
+        src = ColumnSource.from_entry_oracle(dense_oracle(np.ones((2, 2))))
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative"):
+            greedy_column_basis(src, build_training_set((2,), 1, rng), math.nan)
+        with pytest.raises(ValueError, match="tensor tolerance"):
+            hier_cross(dense_oracle(np.ones((2, 2))), build_tree(2, "balanced"), math.nan)

@@ -292,6 +292,11 @@ class TestErrorMetrics:
         error_metrics(surrogate, surrogate, samples=4, seed=3, per_level=True)
         assert calls == [4]
 
+    def test_no_samples_rejected(self, tight_n2_l2):
+        surrogate, _ = tight_n2_l2
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            error_metrics(surrogate, None, samples=0)
+
     def test_tight_surrogate_has_tiny_error(self, tight_n2_l2):
         surrogate, _ = tight_n2_l2
         metrics = error_metrics(surrogate, None, samples=10, seed=4,
@@ -472,6 +477,13 @@ GOLDEN_COUNTS = {
                           (1, 1, 1, 2, 1)],
     "lambda-zero": [(4, 4, 4, 4, 1), (4, 4, 4, 8, 1), (1, 1, 1, 2, 1)],
 }
+# Per level, the coarse solves taken from the previous level's memo in the
+# same builds: levels 1 and 3 share their nodes with levels 0 and 2.
+GOLDEN_REUSED = {
+    "exp-decay-small": [0, 176, 0, 32, 0],
+    "log-uniform-small": [0, 226, 0, 32, 0],
+    "lambda-zero": [0, 4, 0],
+}
 
 
 def build_config(name):
@@ -488,6 +500,7 @@ def test_golden_counts(name):
     got = [(d.fibers, d.step1_evals, d.step2_evals, d.pde_solves, d.r_max)
            for d in diags]
     assert got == GOLDEN_COUNTS[name]
+    assert [d.solves_reused for d in diags] == GOLDEN_REUSED[name]
 
 
 def test_one_sweep_leaves_levels_unconverged(monkeypatch):
@@ -606,8 +619,7 @@ class TestBuildLadder:
                 continue
             y = surrogate.records[level].grid.nodes[list(j)]
             ladder = solve_ladder(y, level, model)
-            want = h1_frame(level).to_h1(
-                ladder[level] - prolongation_matrix(level) @ ladder[level - 1])
+            want = fem.delta_h1(ladder[level], ladder[level - 1], level)
             assert col.tobytes() == want.tobytes()
             lu = delta_vector(y, level, model)
             assert np.linalg.norm(col - lu) <= 1e-11 * np.linalg.norm(lu)

@@ -113,6 +113,12 @@ class TestEllipticity:
         assert lower > 0
         assert not model.relaxed_ellipticity
 
+    @pytest.mark.parametrize("kind", ["affine", "log-uniform"])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, kind, mean):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            make_model(kind, "exponential", 3, mean=mean)
+
     def test_hopeless_model_rejected(self):
         with pytest.raises(EllipticityError):
             make_model("affine", "exponential", 10, mean=0.01)
