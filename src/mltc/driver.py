@@ -10,13 +10,17 @@ pointwise evaluation, exact expectation against the uniform density, and the
 output functional psi(u) = integral of u.
 
 Each level's spatial frame is mapped to nodal values once, when the
-surrogate is built.  A query contracts the parametric modes to per-level
-(M, r_l) coefficients and sums the nodal frames times those coefficients over
-the levels with one prolongation per level; psi and the expectation need only
-r_l-vectors.  Each G_l C_l^T is added into the sum in place, a block of rows
-at a time, so beside its (M, n_L) output a batch holds the previous level's
-sum while it is prolongated, one block of rows and the (M, sum r_l)
-coefficients; no batch is split into chunks.
+surrogate is built.  A query evaluates the Lagrange weights once per distinct
+degree, for all N parameters in one call, and reuses them on every level of
+that degree: these are the numbers a per-level evaluation gives, so each
+level's contraction (htensor.ht_coefficients) is unchanged.  It contracts
+the parametric modes to per-level (M, r_l) coefficients and sums the nodal
+frames times those coefficients over the levels with one prolongation per
+level; psi and the expectation need only r_l-vectors.  Each G_l C_l^T is
+added into the sum in place, a block of rows at a time, so beside its (M, n_L)
+output a batch holds the previous level's sum while it is prolongated, one
+block of rows and the (M, sum r_l) coefficients; no batch is split into
+chunks.
 """
 
 from __future__ import annotations
@@ -110,8 +114,9 @@ class MLSurrogate:
     nodal values on the level's own grid, G_l = R_l^-1 U_l, forms the psi row
     G_l^T m_l from the level's mass vector m_l, and contracts the expectation
     coefficients.  So one frame per level serves nodal values, psi and the
-    expectation.  A query then contracts only the parametric modes, to
-    per-level (M, r_l) coefficients C_l.
+    expectation.  A query then evaluates the Lagrange weights of its samples
+    once per distinct degree, for all parameters in one call, and contracts
+    only the parametric modes, to per-level (M, r_l) coefficients C_l.
     """
 
     def __init__(self, model: CoefficientModel, n_params: int, plan: LevelPlan,
@@ -131,37 +136,45 @@ class MLSurrogate:
             self._nodal_frames.append(G)
             self._psi_rows.append(G.T @ fem.mass_vector(rec.level))
         self._mean_coeffs = [
-            self._level_coefficients(rec, {m: rec.grid.quadrature_weights[None, :]
-                                           for m in range(n_params)})
+            self._level_coefficients(rec, np.broadcast_to(
+                rec.grid.quadrature_weights, (n_params, 1, rec.grid.p + 1)))
             for rec in records]
 
     @property
     def max_level(self) -> int:
         return self.plan.max_level
 
-    def _level_coefficients(self, rec: LevelRecord, weights: dict) -> np.ndarray:
+    def _level_coefficients(self, rec: LevelRecord, W: np.ndarray) -> np.ndarray:
         """Contract a level tensor's parametric modes with per-sample weights.
 
-        weights maps each parametric mode to an (M, p+1) array; returns the
-        (M, r_l) coefficients in the level's spatial frame.
+        W has shape (N, M, p+1): W[m] holds the weights of mode m; returns
+        the (M, r_l) coefficients in the level's spatial frame.
         """
         X = rec.tensor
-        rows = {m: W @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m, W in weights.items()}
+        rows = {m: W[m] @ X.leaf_frames[X.tree.leaf_of_mode[m]]
+                for m in range(self.n_params)}
         return ht_coefficients(X, rows, self.n_params)
 
     def coefficients(self, Y: np.ndarray) -> list[np.ndarray]:
-        """Per level, the (M, r_l) spatial-frame coefficients at samples Y (M, N).
+        """Per level, the (M, r_l) spatial-frame coefficients at samples Y.
 
-        Samples must be finite and lie in [-1, 1], as fields.evaluate
-        requires: the interpolant does not extrapolate.
+        Y has shape (N,) for one sample or (M, N).  Samples must be finite
+        and lie in [-1, 1], as fields.evaluate requires: the interpolant does
+        not extrapolate.
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if Y.shape[1] != self.n_params:
-            raise ValueError(f"samples must have {self.n_params} columns")
+        Y = np.asarray(Y, dtype=float)
+        N = self.n_params
+        if Y.ndim not in (1, 2) or Y.shape[-1] != N:
+            raise ValueError(f"samples must have shape ({N},) or (M, {N}), "
+                             f"got {Y.shape}")
+        Y = Y.reshape(-1, N)
         check_parameters(Y)
-        return [self._level_coefficients(rec, {m: rec.grid.lagrange_weights_many(Y[:, m])
-                                               for m in range(self.n_params)})
-                for rec in self.records]
+        # mode m's weights form the contiguous (M, p+1) block W[m]
+        flat = Y.T.ravel()
+        grids = {rec.grid.p: rec.grid for rec in self.records}
+        W = {p: g.lagrange_weights_many(flat).reshape(N, len(Y), p + 1)
+             for p, g in grids.items()}
+        return [self._level_coefficients(rec, W[rec.grid.p]) for rec in self.records]
 
     def components_h1(self, Y: np.ndarray) -> list[np.ndarray]:
         """Per level, the H1-coordinate vectors of the level interpolant.
@@ -195,8 +208,12 @@ class MLSurrogate:
         return self._nodal(self.coefficients(Y))
 
     def evaluate(self, y) -> np.ndarray:
-        """Nodal surrogate solution at one parameter point."""
-        return self.evaluate_batch(np.asarray(y, dtype=float)[None, :])[0]
+        """Nodal surrogate solution at one parameter point of shape (N,)."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n_params,):
+            raise ValueError(f"parameter point must have shape ({self.n_params},), "
+                             f"got {y.shape}")
+        return self.evaluate_batch(y[None, :])[0]
 
     def psi_batch(self, Y: np.ndarray) -> np.ndarray:
         """psi(u) per sample, straight from the coefficients."""

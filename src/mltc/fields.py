@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,11 +54,13 @@ class CoefficientModel:
         if self.terms < 1:
             raise ValueError("number of terms must be at least 1")
 
-    @property
+    @cached_property
     def amplitudes(self) -> np.ndarray:
-        """sqrt(lambda_n) for n = 1..terms."""
-        return np.array([math.sqrt(eigenvalue(n, self.decay)) for n in
-                         range(1, self.terms + 1)])
+        """sqrt(lambda_n) for n = 1..terms, computed once per model; read-only."""
+        amp = np.array([math.sqrt(eigenvalue(n, self.decay)) for n in
+                        range(1, self.terms + 1)])
+        amp.flags.writeable = False
+        return amp
 
 
 def basis_values(model: CoefficientModel, x) -> np.ndarray:

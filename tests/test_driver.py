@@ -224,6 +224,21 @@ class TestSurrogate:
             with pytest.raises(ValueError):
                 query(Y)
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 1), (3, 2, 2), (2, 3), (3,)], ids=str)
+    def test_rejects_sample_arrays_of_other_shapes(self, tight_n2_l2, shape):
+        surrogate, _ = tight_n2_l2
+        Y = np.zeros(shape)
+        for query in (surrogate.coefficients, surrogate.evaluate_batch,
+                      surrogate.psi_batch):
+            with pytest.raises(ValueError, match=r"shape \(2,\) or \(M, 2\)"):
+                query(Y)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2), (2, 2), (3,)], ids=str)
+    def test_evaluate_takes_one_point(self, tight_n2_l2, shape):
+        surrogate, _ = tight_n2_l2
+        with pytest.raises(ValueError, match=r"must have shape \(2,\), got"):
+            surrogate.evaluate(np.zeros(shape))
+
     def test_accepts_the_corners_within_slack(self, tight_n2_l2):
         surrogate, _ = tight_n2_l2
         Y = np.array([[1.0, -1.0], [1.0 + 1e-12, -1.0 - 1e-12]])
@@ -372,6 +387,41 @@ def whole_product_nodal(surrogate, coeffs):
     return total.T
 
 
+def per_mode_coefficients(surrogate, Y):
+    """Per-level coefficients from one lagrange_weights_many call per level
+    and per mode: the reference that the per-degree weights reproduce."""
+    coeffs = []
+    for rec in surrogate.records:
+        X = rec.tensor
+        rows = {m: rec.grid.lagrange_weights_many(Y[:, m])
+                @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in range(surrogate.n_params)}
+        coeffs.append(ht_coefficients(X, rows, surrogate.n_params))
+    return coeffs
+
+
+def per_mode_mean_coefficients(surrogate):
+    """The expectation's coefficients, one quadrature row per level and mode."""
+    coeffs = []
+    for rec in surrogate.records:
+        X = rec.tensor
+        w = rec.grid.quadrature_weights[None, :]
+        rows = {m: w @ X.leaf_frames[X.tree.leaf_of_mode[m]]
+                for m in range(surrogate.n_params)}
+        coeffs.append(ht_coefficients(X, rows, surrogate.n_params))
+    return coeffs
+
+
+def query_samples(n_params, seed):
+    """Random samples plus one coordinate on a node of each degree and the
+    corners +-1."""
+    Y = np.random.default_rng(seed).uniform(-1, 1, (9, n_params))
+    Y[0, 0] = CollocationGrid(1).nodes[1]       # the exact-hit branch
+    Y[1, -1] = 0.0                              # the degree-0 node
+    Y[2] = 1.0
+    Y[3] = -1.0
+    return Y
+
+
 class TestNodalFrames:
     @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
     def test_matches_h1_coordinate_route(self, build, request, rng):
@@ -382,13 +432,8 @@ class TestNodalFrames:
         assert_close(surrogate.evaluate_batch(Y), nodal)
         assert_close(surrogate.evaluate(Y[4]), nodal[4])
         assert_close(surrogate.psi_batch(Y), psi)
-        mean = []
-        for rec in surrogate.records:
-            X = rec.tensor
-            w = rec.grid.quadrature_weights[None, :]
-            coef = ht_coefficients(
-                X, {m: w @ X.leaf_frames[X.tree.leaf_of_mode[m]] for m in range(N)}, N)
-            mean.append(coef @ X.leaf_frames[X.tree.leaf_of_mode[N]].T)
+        mean = [C @ U.T for C, U in zip(per_mode_mean_coefficients(surrogate),
+                                        surrogate._spatial)]
         e_nodal, e_psi = h1_route(surrogate, mean)
         assert_close(surrogate.expectation(), e_nodal[0])
         assert_close(surrogate.expectation_psi(), e_psi[0])
@@ -465,6 +510,45 @@ class TestNodalFrames:
         assert calls == []
         error_metrics(copy, copy, samples=4, seed=3, per_level=False)
         assert calls == [4, 4, 4]       # the samples only
+
+
+class TestWeightsPerDegree:
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_queries_equal_per_mode_weights_bitwise(self, build, request):
+        surrogate, _ = request.getfixturevalue(build)
+        Y = query_samples(surrogate.n_params, 4)
+        coeffs = per_mode_coefficients(surrogate, Y)
+        nodal = surrogate._nodal(coeffs)
+        assert np.array_equal(surrogate.evaluate_batch(Y), nodal)
+        assert np.array_equal(surrogate.psi_batch(Y), surrogate._psi(coeffs))
+        for i in range(len(Y)):
+            want = surrogate._nodal(per_mode_coefficients(surrogate, Y[i:i + 1]))[0]
+            assert np.array_equal(surrogate.evaluate(Y[i]), want)
+        mean = per_mode_mean_coefficients(surrogate)
+        assert np.array_equal(surrogate.expectation(), surrogate._nodal(mean)[0])
+        assert surrogate.expectation_psi() == float(surrogate._psi(mean)[0])
+
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_one_weight_call_per_distinct_degree(self, build, request, monkeypatch):
+        surrogate, _ = request.getfixturevalue(build)
+        N = surrogate.n_params
+        calls = []
+        original = CollocationGrid.lagrange_weights_many
+
+        def counting(self, ys):
+            calls.append((self.p, np.shape(ys)))
+            return original(self, ys)
+
+        monkeypatch.setattr(CollocationGrid, "lagrange_weights_many", counting)
+        degrees = sorted(set(surrogate.plan.degrees))
+        assert len(degrees) < len(surrogate.records)
+        for M in (1, 5):
+            calls.clear()
+            surrogate.coefficients(query_samples(N, M)[:M])
+            assert sorted(calls) == [(p, (N * M,)) for p in degrees]
+        calls.clear()
+        surrogate.evaluate(np.zeros(N))
+        assert len(calls) == len(degrees)
 
 
 # Per level: fibers, step1_evals, step2_evals, pde_solves, r_max of the bundled

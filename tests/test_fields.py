@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mltc import fields
 from mltc.errors import EllipticityError
 from mltc.fields import (CoefficientModel, basis_values, eigenvalue,
                          ellipticity_bounds, evaluate, make_model)
@@ -26,6 +27,38 @@ class TestEigenvalue:
             lam = [eigenvalue(n, decay) for n in range(1, 30)]
             assert all(v > 0 for v in lam)
             assert all(a >= b for a, b in zip(lam, lam[1:]))
+
+
+class TestAmplitudes:
+    CLOSED_FORMS = {
+        "exponential": lambda n: np.exp(-n / 2),
+        "fast-algebraic": lambda n: 1.0 / n**2,
+        "slow-algebraic": lambda n: 1.0 / n,
+        "zero": lambda n: 0.0 * n,
+    }
+
+    @pytest.mark.parametrize("decay", sorted(CLOSED_FORMS))
+    def test_closed_form_and_read_only(self, decay):
+        model = CoefficientModel("affine", decay, 6)
+        amp = model.amplitudes
+        np.testing.assert_allclose(amp, self.CLOSED_FORMS[decay](np.arange(1.0, 7.0)),
+                                   rtol=1e-15, atol=0)
+        with pytest.raises(ValueError):
+            amp[0] = 1.0
+        assert not amp.flags.writeable
+
+    def test_computed_once_per_model(self, monkeypatch):
+        model = CoefficientModel("log-uniform", "slow-algebraic", 4)
+        first = model.amplitudes
+        calls = []
+        monkeypatch.setattr(fields, "eigenvalue",
+                            lambda n, decay: calls.append(n) or 1.0)
+        evaluate(model, np.zeros(4), np.array([[0.2, 0.3]]))
+        assert model.amplitudes is first
+        assert calls == []
+        # the cached array takes no part in equality or hashing
+        fresh = CoefficientModel("log-uniform", "slow-algebraic", 4)
+        assert model == fresh and hash(model) == hash(fresh)
 
 
 class TestEvaluate:
