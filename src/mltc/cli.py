@@ -73,6 +73,16 @@ def _abort(err: Exception) -> int:
     return 5
 
 
+def _blas_build(module) -> str:
+    """The BLAS a library was built against, as its show_config(mode="dicts")
+    names it, or "unknown" where that does not."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def _environment_stamp() -> list[str]:
     return [
         f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}",
@@ -80,6 +90,8 @@ def _environment_stamp() -> list[str]:
         "BLAS threads: " + " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
                                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS")),
+        # a query adds the levels' nodal values on scipy's BLAS and does the rest on numpy's
+        f"BLAS builds: numpy {_blas_build(np)}, scipy {_blas_build(scipy)}",
         f"generated {datetime.datetime.now().isoformat(timespec='seconds')}",
     ]
 

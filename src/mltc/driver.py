@@ -16,11 +16,14 @@ that degree: these are the numbers a per-level evaluation gives, so each
 level's contraction (htensor.ht_coefficients) is unchanged.  It contracts
 the parametric modes to per-level (M, r_l) coefficients and sums the nodal
 frames times those coefficients over the levels with one prolongation per
-level; psi and the expectation need only r_l-vectors.  Each G_l C_l^T is
-added into the sum in place, a block of rows at a time, so beside its (M, n_L)
-output a batch holds the previous level's sum while it is prolongated, one
-block of rows and the (M, sum r_l) coefficients; no batch is split into
-chunks.
+level; psi and the expectation need only r_l-vectors.  The nodal frames are
+kept Fortran-ordered, and each G_l C_l^T is added into the sum in place by
+one BLAS dgemm (C <- C_l G_l^T + C on the transposed sum), so no product is
+formed apart: beside its (M, n_L) output a batch holds only the previous
+level's sum while it is prolongated and the (M, sum r_l) coefficients, and no
+batch is split into chunks.  For M >= 2 the sum is bitwise numpy's
+`total += G_l @ C_l.T`; for one sample (evaluate, the expectation) it agrees
+with that to round-off, since numpy then takes a matrix-vector kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from . import fem
 from .colloc import CollocationGrid
@@ -39,15 +43,6 @@ from .fem import (build_grid, functional_psi, h1_frame, prolongate,
                   prolongation_matrix, solve_at, solve_ladder)
 from .fields import CoefficientModel, check_parameters
 from .htensor import HTensor, build_tree, ht_coefficients, storage_and_ranks
-
-
-# Rows of G_l C_l^T added into the nodal sum at a time, so that the product's
-# temporary holds _ROW_BLOCK x M values instead of a second (n_L, M) array.  A
-# power of two: every block then starts at a multiple of the row unrolling of
-# the BLAS kernels, each row goes through the same kernel as in one whole
-# product, and the sum is bitwise that of one product.  An odd block, such as
-# 7 rows, changes the last bits of the M = 1 (matrix-vector) case.
-_ROW_BLOCK = 4096
 
 
 def degree_schedule(L: int) -> list[int]:
@@ -131,7 +126,7 @@ class MLSurrogate:
         for rec in records:
             X = rec.tensor
             U = X.leaf_frames[X.tree.leaf_of_mode[n_params]]
-            G = h1_frame(rec.level).from_h1(U)
+            G = np.asfortranarray(h1_frame(rec.level).from_h1(U))
             self._spatial.append(U)
             self._nodal_frames.append(G)
             self._psi_rows.append(G.T @ fem.mass_vector(rec.level))
@@ -186,17 +181,20 @@ class MLSurrogate:
     def _nodal(self, coeffs: list[np.ndarray]) -> np.ndarray:
         """Top-level nodal values, (M, n_L), from per-level coefficients.
 
-        Horner sum over levels: total <- P_l total + G_l C_l^T, with
-        G_l C_l^T added in blocks of _ROW_BLOCK rows.
+        Horner sum over levels: total <- P_l total + G_l C_l^T.  The sum is
+        kept as an (n_l, M) C-ordered array, so its transpose is the
+        Fortran-ordered (M, n_l) output that dgemm accumulates C_l G_l^T into
+        in place; `total` is rebound to what dgemm returns, which stays right
+        should f2py copy.  Returns that transpose, a Fortran-ordered view.
         """
         frames = self._nodal_frames
         total = frames[0] @ coeffs[0].T
         for rec, G, C in zip(self.records[1:], frames[1:], coeffs[1:]):
             total = prolongation_matrix(rec.level) @ total
-            for i in range(0, G.shape[0], _ROW_BLOCK):
-                # through a view: `total[i:j] += ...` would also assign it back
-                rows = total[i:i + _ROW_BLOCK]
-                rows += G[i:i + _ROW_BLOCK] @ C.T
+            # C.T and G are both Fortran-ordered, so f2py passes them uncopied
+            if total.size:          # dgemm rejects an empty batch
+                total = dgemm(1.0, C.T, G, beta=1.0, c=total.T, trans_a=1,
+                              trans_b=1, overwrite_c=1).T
         return total.T
 
     def _psi(self, coeffs: list[np.ndarray]) -> np.ndarray:

@@ -19,6 +19,11 @@ def random_htensor(tree, sizes, rmax, rng):
     return htensor.HTensor(tree, sizes, frames, transfers)
 
 
+def _close(got, want, rtol):
+    """Agreement relative to the largest entry of `want`."""
+    return np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 def suite_htensor():
     rng = np.random.default_rng(101)
     for trial in range(20):
@@ -117,6 +122,23 @@ def suite_driver():
     want = surrogate.evaluate_batch(Y) @ fem.mass_vector(1)
     if not np.allclose(surrogate.psi_batch(Y), want, rtol=1e-12, atol=0.0):
         return "psi_batch differs from the mass-weighted nodal surrogate"
+    # a query contracts on numpy's BLAS and adds the levels' nodal values on
+    # scipy's, with other kernels for one sample than for a batch: the two
+    # builds must agree to round-off
+    model = fields.make_model("affine", "exponential", 2)
+    surrogate, _ = driver.run_ml(model, 2, 2, seed=11)
+    Y = np.random.default_rng(9).uniform(-1, 1, (5, 2))
+    batch = surrogate.evaluate_batch(Y)
+    for y, row in zip(Y, batch):
+        if not _close(surrogate.evaluate(y), row, 1e-13):
+            return "evaluate differs from its evaluate_batch row"
+    # a Gauss-Legendre rule with p + 1 points per parameter is exact for the
+    # degree-p interpolant
+    x, w = np.polynomial.legendre.leggauss(max(surrogate.plan.degrees) + 1)
+    Y = np.array(np.meshgrid(x, x, indexing="ij")).reshape(2, -1).T
+    mean = np.outer(w, w).ravel() / 4.0 @ surrogate.evaluate_batch(Y)
+    if not _close(surrogate.expectation(), mean, 1e-10):
+        return "expectation differs from the Gauss-Legendre mean of evaluate_batch"
     return None
 
 

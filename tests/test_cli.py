@@ -225,6 +225,8 @@ class TestRun:
             in report
         assert ("BLAS threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset "
                 "MKL_NUM_THREADS=unset\n") in report
+        # the BLAS builds behind numpy and scipy, each by name and version
+        assert re.search(r"^BLAS builds: numpy \S.*, scipy \S.*$", report, re.M)
         # one line per step, one wall time per level
         for step in ("1 \\(column basis\\)", "2 \\(cross approximation\\)"):
             assert re.search(rf"^build step {step} seconds per level: "
@@ -409,6 +411,30 @@ class TestRun:
         levels = list(csv.DictReader(open(tmp_path / "levels.csv")))
         assert len(levels) == 5
         assert [r["degree"] for r in levels] == ["2", "2", "1", "1", "0"]
+
+
+class TestBlasBuild:
+    def test_names_the_library_from_its_config(self):
+        class Library:
+            @staticmethod
+            def show_config(mode):
+                return {"Build Dependencies": {"blas": {"name": "openblas",
+                                                        "version": "0.3.30"}}}
+
+        assert cli._blas_build(Library) == "openblas 0.3.30"
+
+    def test_unknown_without_a_dict_config(self):
+        class Old:
+            @staticmethod
+            def show_config():
+                pass
+
+        class NoVersion:
+            @staticmethod
+            def show_config(mode):
+                return {"Build Dependencies": {"blas": {"name": "openblas"}}}
+
+        assert cli._blas_build(Old) == cli._blas_build(NoVersion) == "unknown"
 
 
 class TestVerify:

@@ -378,7 +378,8 @@ def h1_route(surrogate, comps):
 
 
 def whole_product_nodal(surrogate, coeffs):
-    """The Horner sum of MLSurrogate._nodal with each G_l C_l^T formed whole."""
+    """The Horner sum of MLSurrogate._nodal with each G_l C_l^T formed whole
+    by numpy and then added."""
     frames = surrogate._nodal_frames
     total = frames[0] @ coeffs[0].T
     for rec, G, C in zip(surrogate.records[1:], frames[1:], coeffs[1:]):
@@ -446,25 +447,33 @@ class TestNodalFrames:
         assert_close(surrogate.psi_batch(Y), surrogate.evaluate_batch(Y) @ m, rtol=1e-13)
         assert_close(surrogate.expectation_psi(), surrogate.expectation() @ m, rtol=1e-13)
 
-    @pytest.mark.parametrize("M", [1, 7, 50])
-    def test_row_blocks_equal_whole_product(self, tight_n2_l2, monkeypatch, M):
-        surrogate, _ = tight_n2_l2
-        # 289 top rows = 36 blocks of 8 and one row.  The block must be a
-        # multiple of the row unrolling of BLAS's matrix-vector kernel: with
-        # 7-row blocks, the M = 1 products (such as the expectation) can differ
-        # in the last bits from the whole product
-        monkeypatch.setattr(driver, "_ROW_BLOCK", 8)
-        Y = np.random.default_rng(M).uniform(-1, 1, (M, 2))
+    @pytest.mark.parametrize("M", [2, 7, 50])
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_batch_equals_whole_product(self, build, request, M):
+        # both builds have a rank-1 top level; dgemm's in-place sum of G_l C_l^T
+        # is bitwise numpy's whole product for every batch of two or more
+        surrogate, _ = request.getfixturevalue(build)
+        Y = np.random.default_rng(M).uniform(-1, 1, (M, surrogate.n_params))
         want = whole_product_nodal(surrogate, surrogate.coefficients(Y))
         assert np.array_equal(surrogate.evaluate_batch(Y), want)
-        assert np.array_equal(surrogate.expectation(),
-                              whole_product_nodal(surrogate, surrogate._mean_coeffs)[0])
 
-    def test_batch_holds_no_second_output(self, tight_n2_l2, monkeypatch):
+    @pytest.mark.parametrize("build", ["tight_n2_l2", "linear_n3_l2"])
+    def test_one_sample_within_round_off(self, build, request):
+        # numpy takes a matrix-vector kernel for one sample, so evaluate and
+        # the expectation agree with the whole product to round-off only
+        surrogate, _ = request.getfixturevalue(build)
+        Y = query_samples(surrogate.n_params, 1)
+        for y in Y:
+            want = whole_product_nodal(surrogate, surrogate.coefficients(y))[0]
+            assert_close(surrogate.evaluate(y), want, rtol=2e-15)
+        want = whole_product_nodal(surrogate, surrogate._mean_coeffs)[0]
+        assert_close(surrogate.expectation(), want, rtol=2e-15)
+
+    def test_batch_holds_no_second_output(self, tight_n2_l2):
         # beside its output, a batch holds the previous level's sum during the
-        # prolongation (81/289 of it here) and one block of rows
+        # prolongation (81/289 of it here); a copy of the running sum made for
+        # dgemm would add a whole output more
         surrogate, _ = tight_n2_l2
-        monkeypatch.setattr(driver, "_ROW_BLOCK", 8)
         Y = np.random.default_rng(3).uniform(-1, 1, (50, 2))
         surrogate.evaluate_batch(Y)
         tracemalloc.start()
@@ -473,7 +482,14 @@ class TestNodalFrames:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * U.nbytes
+        assert peak < 1.45 * U.nbytes
+
+    @pytest.mark.parametrize("L", [0, 2])
+    def test_empty_batch(self, tight_n2_l2, L):
+        surrogate = tight_n2_l2[0] if L else run_ml(EXP2, 2, 0, seed=5)[0]
+        Y = np.empty((0, 2))
+        assert surrogate.evaluate_batch(Y).shape == (0, build_grid(L).n)
+        assert surrogate.psi_batch(Y).shape == (0,)
 
     def test_queries_never_build_h1_coordinates(self, tight_n2_l2, monkeypatch, rng):
         # psi_batch and evaluate_batch hold (M, r_l) coefficients, not (M, n_l)
