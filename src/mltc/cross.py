@@ -164,6 +164,8 @@ class ColumnSource:
         j = tuple(int(i) for i in j)
         if j in self._cache:
             return self._cache[j]
+        if len(j) != len(self.param_shape):
+            raise ValueError(f"parametric index {j} must have length {len(self.param_shape)}")
         for i, n in zip(j, self.param_shape):
             if not 0 <= i < n:
                 raise ValueError(f"parametric index {j} out of range")

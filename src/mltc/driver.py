@@ -253,8 +253,8 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     """
     if threads != 1:
         raise ValueError("threads must be 1: fibers are evaluated serially")
-    if n_params < 1:
-        raise ValueError("need at least one parametric dimension")
+    if n_params != model.terms:
+        raise ValueError(f"n_params = {n_params} differs from model.terms = {model.terms}")
     plan = LevelPlan(L, eps0)
     seeds = np.random.SeedSequence(seed).spawn(L + 1)
     budget = EvalBudget(eval_budget)

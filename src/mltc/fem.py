@@ -14,11 +14,11 @@ nonzero are added strictly left to right in the order in which
 order, then scipy's `sort_indices` within each column).  Floating-point
 addition is not associative, so another order, such as `np.bincount` or
 `np.add.reduceat`, changes the last bits of the stiffness, and through the
-pivots of the cross approximation its fibers, entries and ranks.  The sines of
-the coefficient at the quadrature points are cached per grid as well, and so
-is the upper-triangle part of the gather map with its positions in LAPACK's
-band storage, from which assemble_band fills a band bitwise equal to the CSC
-stiffness.
+pivots of the cross approximation its fibers, entries and ranks.  Each grid
+also caches the upper-triangle part of the gather map with its positions in
+LAPACK's band storage, from which assemble_band fills a band bitwise equal to
+the CSC stiffness, and per number of terms the series' sines at its quadrature
+points (quad_basis), from which a solve forms the values both assemblies take.
 
 The H1 coordinate map is the sparse Cholesky factor R of the unit-coefficient
 stiffness: ||R c||_2 equals the H1_0 seminorm of the finite element function
@@ -103,7 +103,7 @@ class GridLevel:
         self.m = 4 * 2**level + 1           # nodes per side
         self.h = 1.0 / (self.m - 1)
         self.n = self.m * self.m
-        self._basis = {}                    # terms -> basis values at quad_points
+        self._basis = {}                    # terms -> basis values at the quadrature points
 
     @cached_property
     def boundary_mask(self) -> np.ndarray:
@@ -120,14 +120,6 @@ class GridLevel:
         return np.stack([v, v + 1, v + self.m, v + self.m + 1], axis=1)
 
     @cached_property
-    def quad_points(self) -> np.ndarray:
-        """(n_elements, 4, 2) physical quadrature point coordinates."""
-        mc = self.m - 1
-        ix, iy = np.meshgrid(np.arange(mc), np.arange(mc), indexing="xy")
-        origins = np.stack([ix.ravel(), iy.ravel()], axis=1) * self.h
-        return origins[:, None, :] + _QPTS[None, :, :] * self.h
-
-    @cached_property
     def stiffness_pattern(self):
         """(indptr, indices, gather) of the assembled stiffness; see assemble()."""
         return _stiffness_pattern(self)
@@ -138,13 +130,16 @@ class GridLevel:
         return _band_pattern(self)
 
     def quad_basis(self, model: CoefficientModel) -> np.ndarray:
-        """basis_values(model, ...) at the flattened quadrature points.
+        """basis_values(model, ...) at the quadrature points, element by element.
 
-        Cached per number of terms, read-only; it serves both coefficient kinds.
+        Cached per number of terms, read-only, for both kinds; the points are not kept.
         """
         B = self._basis.get(model.terms)
         if B is None:
-            B = basis_values(model, self.quad_points.reshape(-1, 2))
+            t = np.arange(self.m - 1) * self.h
+            ox, oy = np.meshgrid(t, t, indexing="xy")
+            points = np.stack([ox.ravel(), oy.ravel()], axis=1)[:, None, :] + _QPTS * self.h
+            B = basis_values(model, points.reshape(-1, 2))
             B.setflags(write=False)
             self._basis[model.terms] = B
         return B
@@ -232,13 +227,16 @@ def _band_pattern(grid: GridLevel):
     return gather, positions
 
 
-def _element_matrices(grid: GridLevel, coefficient) -> np.ndarray:
+def _element_matrices(grid: GridLevel, avals) -> np.ndarray:
     """Ke.ravel() followed by the padding -0.0 and the boundary 1.0.
 
     The ids of _stiffness_pattern's gather map index this vector.
     """
-    pts = grid.quad_points
-    avals = np.asarray(coefficient(pts.reshape(-1, 2)), dtype=float).reshape(pts.shape[:2])
+    avals = np.asarray(avals, dtype=float)
+    if avals.size != 4 * len(grid.elements):
+        raise ValueError(f"expected {4 * len(grid.elements)} coefficient values "
+                         f"(one per quadrature point), got {avals.size}")
+    avals = avals.reshape(-1, 4)
     if avals.min() <= 0.0:
         raise EllipticityError("coefficient is nonpositive at a quadrature point")
     Ke = np.einsum("eq,qij->eij", avals * 0.25, _GMATS)
@@ -250,30 +248,31 @@ def _gather_sum(v: np.ndarray, gather: np.ndarray) -> np.ndarray:
     return ((v[gather[0]] + v[gather[1]]) + v[gather[2]]) + v[gather[3]]
 
 
-def assemble(grid: GridLevel, coefficient) -> sp.csc_matrix:
+def assemble(grid: GridLevel, avals) -> sp.csc_matrix:
     """Stiffness matrix for coefficient a(x); Dirichlet rows/columns set to identity.
 
-    `coefficient` maps an (P, 2) array of points to P positive values.  The
-    result shares its read-only index arrays with the grid's cached pattern.
+    `avals` holds the 4 n_elements positive values of a at the grid's
+    quadrature points, in quad_basis order; another count raises ValueError.
+    The result shares its read-only index arrays with the grid's cached pattern.
     """
     indptr, indices, gather = grid.stiffness_pattern
-    data = _gather_sum(_element_matrices(grid, coefficient), gather)
+    data = _gather_sum(_element_matrices(grid, avals), gather)
     A = sp.csc_matrix((data, indices, indptr), shape=(grid.n, grid.n))
     A.has_canonical_format = True
     return A
 
 
-def assemble_band(grid: GridLevel, coefficient) -> np.ndarray:
-    """The upper band of assemble(grid, coefficient), (m + 2, n) in Fortran order.
+def assemble_band(grid: GridLevel, avals) -> np.ndarray:
+    """The upper band of assemble(grid, avals), (m + 2, n) in Fortran order.
 
-    Its entries are bitwise those of the CSC stiffness; no sparse matrix is
-    built.
+    It takes the same quadrature-point values as assemble.  Its entries are
+    bitwise those of the CSC stiffness; no sparse matrix is built.
     """
     gather, positions = grid.band_pattern
     kd = grid.m + 1
     band = np.zeros((kd + 1, grid.n), order="F")
     band.ravel(order="K")[positions] = _gather_sum(
-        _element_matrices(grid, coefficient), gather)
+        _element_matrices(grid, avals), gather)
     return band
 
 
@@ -309,8 +308,7 @@ def _factor_spd(A: sp.csc_matrix):
 def _stiffness_at(y, level: int, model: CoefficientModel) -> sp.csc_matrix:
     """A_level(y), assembled from the grid's cached quadrature basis."""
     grid = build_grid(level)
-    basis = grid.quad_basis(model)
-    return assemble(grid, lambda pts: evaluate(model, y, basis=basis))
+    return assemble(grid, evaluate(model, y, grid.quad_basis(model)))
 
 
 def _direct_solve(A: sp.csc_matrix, level: int) -> np.ndarray:
@@ -348,8 +346,7 @@ class _BandedCholesky:
 def _banded_solve(y, level: int, model: CoefficientModel):
     """(u, factor): solve_at's solution by banded Cholesky, boundary values zeroed."""
     grid = build_grid(level)
-    basis = grid.quad_basis(model)
-    factor = _BandedCholesky(assemble_band(grid, lambda pts: evaluate(model, y, basis=basis)))
+    factor = _BandedCholesky(assemble_band(grid, evaluate(model, y, grid.quad_basis(model))))
     u = factor.solve(load_vector(level))
     u[grid.boundary_mask] = 0.0
     return u, factor
@@ -492,7 +489,7 @@ class H1Frame:
     def __init__(self, level: int):
         self.level = level
         grid = build_grid(level)
-        A1 = assemble(grid, lambda pts: np.ones(pts.shape[0]))
+        A1 = assemble(grid, np.ones(4 * len(grid.elements)))
         lu = _factor_spd(A1)
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise ArithmeticError("symmetric factorization pivoted unexpectedly")

@@ -4,7 +4,9 @@ The coefficient is an affine series  mean + sum_n sqrt(lambda_n) b_n(x) y_n
 with b_n(x) = sin(2 pi n x1) sin(2 pi n x2), or its exponential (log-uniform
 kind, mean 0 inside the exponential).  Eigenvalue decay laws: exp(-n), n^-4,
 n^-2, plus a degenerate all-zero law that collapses the model to a
-deterministic coefficient for testing.
+deterministic coefficient for testing.  evaluate(model, y, basis) gives
+a(y, x) at points x tabulated once as basis = basis_values(model, x); fem
+keeps one such table per grid.
 """
 
 from __future__ import annotations
@@ -87,17 +89,8 @@ def _check_y(model, y):
     return np.clip(y, -1.0, 1.0)
 
 
-def evaluate(model: CoefficientModel, y, x=None, *, basis=None):
-    """Coefficient value a(y, x); x has shape (..., 2).
-
-    A caller that evaluates many parameters at the same points passes
-    basis = basis_values(model, x) in place of x.
-    """
-    if basis is None:
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-            raise ValueError("spatial points must lie in the closed unit square")
-        basis = basis_values(model, x)
+def evaluate(model: CoefficientModel, y, basis):
+    """Coefficient values a(y, x) at the points x of basis = basis_values(model, x)."""
     f = basis @ (model.amplitudes * _check_y(model, y))
     if model.kind == "affine":
         return model.mean + f
@@ -116,15 +109,9 @@ def _sampled_minimum(model, grid_n=33, n_samples=1000, seed=20240) -> float:
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, grid_n)
     xx, yy = np.meshgrid(t, t, indexing="ij")
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    B = basis_values(model, pts)          # (grid_n^2, terms)
-    amp = model.amplitudes
-    lo = math.inf
-    for _ in range(n_samples):
-        y = rng.uniform(-1.0, 1.0, model.terms)
-        vals = model.mean + B @ (amp * y)
-        lo = min(lo, float(vals.min()))
-    return lo
+    B = basis_values(model, np.stack([xx.ravel(), yy.ravel()], axis=-1))  # (grid_n^2, terms)
+    return min(float(evaluate(model, rng.uniform(-1.0, 1.0, model.terms), B).min())
+               for _ in range(n_samples))
 
 
 def make_model(kind: str, decay: str, terms: int, mean: float = 2.0) -> CoefficientModel:

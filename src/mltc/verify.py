@@ -63,7 +63,7 @@ def suite_cross():
 
 def suite_fem():
     grid = fem.build_grid(0)
-    A = fem.assemble(grid, lambda p: np.ones(p.shape[0]))
+    A = fem.assemble(grid, np.ones(4 * len(grid.elements)))
     interior = np.flatnonzero(~grid.boundary_mask)
     if not np.allclose(A.diagonal()[interior], 8.0 / 3.0):
         return "interior stencil diagonal is not 8/3"

@@ -198,6 +198,21 @@ class TestTrainingSet:
             build_training_set((3, 3), 0, rng)
 
 
+class TestColumnSource:
+    @pytest.mark.parametrize("j", [(1,), (1, 0, 0), ()])
+    def test_index_of_wrong_length_charges_nothing(self, j):
+        # zip would truncate the range check, so the length is checked first
+        budget = EvalBudget(None)
+        fetched = []
+        src = ColumnSource((3, 3), 5, lambda j: fetched.append(j) or np.ones(5),
+                           budget=budget)
+        with pytest.raises(ValueError, match="must have length 2"):
+            src.column(j)
+        assert budget.used == 0 and fetched == [] and src.n_fetched == 0
+        src.column((1, 2))
+        assert budget.used == 5 and fetched == [(1, 2)]
+
+
 class TestGreedyColumnBasis:
     def test_constant_column_space(self, rng):
         v = rng.standard_normal(8) + 3.0

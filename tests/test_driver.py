@@ -103,6 +103,18 @@ class TestRunML:
         with pytest.raises(ValueError):
             run_ml(EXP2, 2, 1, seed=9, threads=2)
 
+    @pytest.mark.parametrize("n_params", [0, 2, 4])
+    def test_parameter_count_must_match_the_model(self, n_params, monkeypatch):
+        # rejected on entry, before any grid is built or any solve runs
+        def unreachable(*args):
+            raise AssertionError("run_ml went past its argument checks")
+
+        for name in ("build_grid", "solve_at", "solve_ladder"):
+            monkeypatch.setattr(driver, name, unreachable)
+        with pytest.raises(ValueError, match=f"n_params = {n_params} differs from "
+                                             "model.terms = 3"):
+            run_ml(make_model("affine", "exponential", 3), n_params, 1)
+
     def test_linear_tree_end_to_end(self, linear_n3_l2):
         surrogate, _ = linear_n3_l2
         metrics = error_metrics(surrogate, None, samples=20, seed=3,

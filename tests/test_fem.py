@@ -14,7 +14,7 @@ from mltc.errors import EllipticityError
 from mltc.fem import (assemble, build_grid, delta_nodal, delta_vector,
                       functional_psi, h1_frame, mass_vector, prolongate,
                       seminorm_quadrature, solve_at)
-from mltc.fields import evaluate, make_model
+from mltc.fields import basis_values, evaluate, make_model
 
 
 def poisson_series_integral(terms=400):
@@ -36,8 +36,8 @@ def poisson_series_center(terms=799):
     return total
 
 
-ONES = lambda pts: np.ones(pts.shape[0])
 A2 = make_model("affine", "zero", 1)          # constant coefficient 2
+GAUSS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
 def coo_stiffness(grid, avals):
@@ -61,6 +61,23 @@ def node_coords(grid):
     t = np.arange(grid.m) * grid.h
     xx, yy = np.meshgrid(t, t, indexing="xy")
     return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
+def quad_points(grid):
+    """(4 n_elements, 2) Gauss points, element by element; an element's four
+    are its lower-left corner plus h (a, b) for a in GAUSS for b in GAUSS."""
+    corners = node_coords(grid)[grid.elements[:, 0]]
+    offsets = np.array([(a, b) for a in GAUSS for b in GAUSS]) * grid.h
+    return (corners[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+
+
+def ones(grid):
+    """The unit coefficient at the grid's quadrature points."""
+    return np.ones(4 * len(grid.elements))
+
+
+def coefficient_values(model, y, grid):
+    return evaluate(model, y, basis_values(model, quad_points(grid)))
 
 
 def assert_bitwise_equal(A, B):
@@ -91,14 +108,14 @@ class TestGrid:
 class TestAssemble:
     def test_interior_stencil(self):
         grid = build_grid(1)
-        A = assemble(grid, ONES)
+        A = assemble(grid, ones(grid))
         interior = np.flatnonzero(~grid.boundary_mask)
         assert np.allclose(A.diagonal()[interior], 8.0 / 3.0)
 
     def test_linearity_in_coefficient(self):
         grid = build_grid(1)
-        A1 = assemble(grid, ONES).toarray()
-        A2m = assemble(grid, lambda p: 2 * np.ones(p.shape[0])).toarray()
+        A1 = assemble(grid, ones(grid)).toarray()
+        A2m = assemble(grid, 2 * ones(grid)).toarray()
         interior = np.flatnonzero(~grid.boundary_mask)
         ii = np.ix_(interior, interior)
         assert np.allclose(A2m[ii], 2 * A1[ii])
@@ -107,26 +124,33 @@ class TestAssemble:
         grid = build_grid(2)
         model = make_model("affine", "exponential", 3)
         y = np.array([0.5, -0.5, 0.25])
-        A = assemble(grid, lambda p: evaluate(model, y, p))
+        A = assemble(grid, coefficient_values(model, y, grid))
         assert abs(A - A.T).max() == 0.0
 
     def test_nonpositive_coefficient(self):
         grid = build_grid(0)
         with pytest.raises(EllipticityError):
-            assemble(grid, lambda p: np.full(p.shape[0], -1.0))
+            assemble(grid, -ones(grid))
+
+    @pytest.mark.parametrize("extra", [-1, 1, -4, 4])
+    @pytest.mark.parametrize("assembly", ["assemble", "assemble_band"])
+    def test_wrong_number_of_values(self, assembly, extra):
+        # too few or too many values, whole elements or not
+        grid = build_grid(1)
+        avals = np.ones(4 * len(grid.elements) + extra)
+        with pytest.raises(ValueError, match=f"expected {4 * len(grid.elements)} "):
+            getattr(fem, assembly)(grid, avals)
 
     @pytest.mark.parametrize("level", range(6))
     @pytest.mark.parametrize("kind", ["unit", "affine", "log-uniform"])
     def test_bitwise_equal_to_coo_reference(self, level, kind, rng):
         grid = build_grid(level)
         if kind == "unit":
-            coefficient = ONES
+            avals = ones(grid)
         else:
             model = make_model(kind, "slow-algebraic", 4, 2.0)
-            y = rng.uniform(-1, 1, 4)
-            coefficient = lambda p: evaluate(model, y, p)
-        avals = coefficient(grid.quad_points.reshape(-1, 2))
-        assert_bitwise_equal(assemble(grid, coefficient), coo_stiffness(grid, avals))
+            avals = coefficient_values(model, rng.uniform(-1, 1, 4), grid)
+        assert_bitwise_equal(assemble(grid, avals), coo_stiffness(grid, avals))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2).flatmap(lambda level: st.tuples(
@@ -136,7 +160,7 @@ class TestAssemble:
     def test_bitwise_equal_for_any_positive_values(self, case):
         level, avals = case
         grid = build_grid(level)
-        A = assemble(grid, lambda p: avals)
+        A = assemble(grid, avals)
         assert_bitwise_equal(A, coo_stiffness(grid, avals))
 
     def test_quad_basis_serves_both_kinds(self, rng):
@@ -145,11 +169,13 @@ class TestAssemble:
         logu = make_model("log-uniform", "exponential", 3)
         basis = grid.quad_basis(affine)
         assert grid.quad_basis(logu) is basis
-        pts = grid.quad_points.reshape(-1, 2)
+        reference = basis_values(affine, quad_points(grid))
+        assert basis.shape == reference.shape == (4 * len(grid.elements), 3)
+        assert basis.tobytes() == reference.tobytes()
         for model in (affine, logu):
             y = rng.uniform(-1, 1, 3)
-            assert evaluate(model, y, basis=basis).tobytes() == \
-                evaluate(model, y, pts).tobytes()
+            assert evaluate(model, y, basis).tobytes() == \
+                coefficient_values(model, y, grid).tobytes()
 
     def test_spd_for_valid_models(self):
         # Cholesky-style factorization must succeed at every tested level
@@ -160,7 +186,7 @@ class TestAssemble:
 def reference_frame(level):
     """(perm, R) with every temporary kept alive: the factor's CSR copy U and
     R = diags(1/sqrt(d)) @ U."""
-    lu = fem._factor_spd(assemble(build_grid(level), ONES))
+    lu = fem._factor_spd(assemble(build_grid(level), ones(build_grid(level))))
     perm = np.argsort(lu.perm_c)
     U = lu.U.tocsr()
     R = (sp.diags(1.0 / np.sqrt(U.diagonal())) @ U).tocsr()
@@ -249,9 +275,9 @@ def test_band_is_the_upper_triangle_of_the_stiffness():
     y = np.array([0.3, -0.9, 0.6])
     for level in range(4):
         grid = build_grid(level)
-        coefficient = lambda pts: evaluate(model, y, pts)
-        A = assemble(grid, coefficient).toarray()
-        band = fem.assemble_band(grid, coefficient)
+        avals = coefficient_values(model, y, grid)
+        A = assemble(grid, avals).toarray()
+        band = fem.assemble_band(grid, avals)
         kd = grid.m + 1
         assert band.shape == (kd + 1, grid.n) and band.flags.f_contiguous
         i, j = np.triu_indices(grid.n)
@@ -297,9 +323,9 @@ class TestBandedRung:
         node = data.draw(st.sampled_from(np.flatnonzero(~grid.boundary_mask).tolist()))
         assemble_band = fem.assemble_band
 
-        def negated(grid_, coefficient):
+        def negated(grid_, avals):
             # the ladder's lower rungs stay intact
-            band = assemble_band(grid_, coefficient)
+            band = assemble_band(grid_, avals)
             if grid_ is grid:
                 band[grid.m + 1, node] *= -1.0
             return band
@@ -354,10 +380,10 @@ class TestSolveLadder:
         # the coefficient turns negative at the quadrature points of one level
         monkeypatch.setattr(fem, "DIRECT_MAX_LEVEL", 1)
         evaluate_ = fem.evaluate
-        n_points = build_grid(bad).quad_points.shape[0] * 4
+        n_points = 4 * len(build_grid(bad).elements)
 
-        def negative_at_bad(model, y, x=None, *, basis=None):
-            a = evaluate_(model, y, x, basis=basis)
+        def negative_at_bad(model, y, basis):
+            a = evaluate_(model, y, basis)
             return -a if a.size == n_points else a
 
         monkeypatch.setattr(fem, "evaluate", negative_at_bad)

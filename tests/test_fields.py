@@ -9,6 +9,11 @@ from mltc.fields import (CoefficientModel, basis_values, eigenvalue,
                          ellipticity_bounds, evaluate, make_model)
 
 
+def at(model, y, x):
+    """a(y, x) at the points x, through a basis tabulated there."""
+    return evaluate(model, y, basis_values(model, x))
+
+
 class TestEigenvalue:
     def test_closed_forms(self):
         assert np.isclose(eigenvalue(1, "exponential"), math.exp(-1))
@@ -53,7 +58,7 @@ class TestAmplitudes:
         calls = []
         monkeypatch.setattr(fields, "eigenvalue",
                             lambda n, decay: calls.append(n) or 1.0)
-        evaluate(model, np.zeros(4), np.array([[0.2, 0.3]]))
+        at(model, np.zeros(4), np.array([[0.2, 0.3]]))
         assert model.amplitudes is first
         assert calls == []
         # the cached array takes no part in equality or hashing
@@ -65,22 +70,22 @@ class TestEvaluate:
     def test_mean_field(self):
         model = make_model("affine", "exponential", 4)
         x = np.array([[0.3, 0.7], [0.5, 0.5], [0.1, 0.9]])
-        assert np.allclose(evaluate(model, np.zeros(4), x), 2.0)
+        assert np.allclose(at(model, np.zeros(4), x), 2.0)
 
     def test_hand_value(self):
         model = make_model("affine", "exponential", 1)
-        got = evaluate(model, np.array([1.0]), np.array([0.25, 0.25]))
+        got = at(model, np.array([1.0]), np.array([0.25, 0.25]))
         assert np.isclose(got, 2.0 + math.exp(-0.5))
 
     def test_log_uniform_at_zero(self):
         model = make_model("log-uniform", "slow-algebraic", 3)
         x = np.array([[0.2, 0.4], [0.9, 0.1]])
-        assert np.allclose(evaluate(model, np.zeros(3), x), 1.0)
+        assert np.allclose(at(model, np.zeros(3), x), 1.0)
 
     def test_out_of_range_parameters(self):
         model = make_model("affine", "exponential", 2)
         with pytest.raises(ValueError):
-            evaluate(model, np.array([1.5, 0.0]), np.array([0.5, 0.5]))
+            at(model, np.array([1.5, 0.0]), np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameters(self, bad):
@@ -88,7 +93,7 @@ class TestEvaluate:
         for kind in ("affine", "log-uniform"):
             model = make_model(kind, "exponential", 2)
             with pytest.raises(ValueError, match="finite"):
-                evaluate(model, np.array([bad, 0.0]), np.array([0.5, 0.5]))
+                at(model, np.array([bad, 0.0]), np.array([0.5, 0.5]))
 
     def test_affine_in_each_parameter(self, rng):
         model = make_model("affine", "fast-algebraic", 3)
@@ -99,8 +104,7 @@ class TestEvaluate:
             yp, ym = y.copy(), y.copy()
             yp[n] += h
             ym[n] -= h
-            second = evaluate(model, yp, x) - 2 * evaluate(model, y, x) \
-                + evaluate(model, ym, x)
+            second = at(model, yp, x) - 2 * at(model, y, x) + at(model, ym, x)
             assert abs(second) < 1e-10
 
     def test_log_uniform_is_exp_of_affine(self, rng):
@@ -108,8 +112,8 @@ class TestEvaluate:
         y = rng.uniform(-1, 1, 4)
         x = rng.uniform(0, 1, (7, 2))
         # the affine coefficient with mean 0 is the fluctuation sum itself
-        affine_sum = evaluate(CoefficientModel("affine", "slow-algebraic", 4, 0.0), y, x)
-        assert np.allclose(evaluate(lu, y, x), np.exp(affine_sum), rtol=1e-14)
+        affine_sum = at(CoefficientModel("affine", "slow-algebraic", 4, 0.0), y, x)
+        assert np.allclose(at(lu, y, x), np.exp(affine_sum), rtol=1e-14)
 
     def test_basis_vanishes_on_boundary(self):
         model = make_model("affine", "exponential", 6)
@@ -120,8 +124,8 @@ class TestEvaluate:
         model = make_model("affine", "exponential", 5)
         y = rng.uniform(-1, 1, 5)
         x = rng.uniform(0, 1, (5, 2))
-        plus = evaluate(model, y, x) - model.mean
-        minus = evaluate(model, -y, x) - model.mean
+        plus = at(model, y, x) - model.mean
+        minus = at(model, -y, x) - model.mean
         assert np.allclose(plus, -minus, atol=1e-14)
 
 
