@@ -12,18 +12,24 @@ output functional psi(u) = integral of u.
 Each level's spatial frame is mapped to nodal values once, when the
 surrogate is built.  A query evaluates the Lagrange weights once per distinct
 degree, for all N parameters in one call, and reuses them on every level of
-that degree: these are the numbers a per-level evaluation gives, so each
-level's contraction (htensor.ht_coefficients) is unchanged.  It contracts
-the parametric modes to per-level (M, r_l) coefficients and sums the nodal
-frames times those coefficients over the levels with one prolongation per
-level; psi and the expectation need only r_l-vectors.  The nodal frames are
-kept Fortran-ordered, and each G_l C_l^T is added into the sum in place by
-one BLAS dgemm (C <- C_l G_l^T + C on the transposed sum), so no product is
+that degree: these are the numbers a per-level evaluation gives.  It
+contracts the parametric modes to per-level (M, r_l) coefficients
+(htensor.ht_coefficients) and sums the nodal frames times those
+coefficients over the levels with one prolongation per level; psi and the
+expectation need only r_l-vectors.  The nodal frames are kept
+Fortran-ordered, and each G_l C_l^T is added into the sum in place by one
+BLAS dgemm (C <- C_l G_l^T + C on the transposed sum), so no product is
 formed apart: beside its (M, n_L) output a batch holds only the previous
 level's sum while it is prolongated and the (M, sum r_l) coefficients, and no
 batch is split into chunks.  For M >= 2 the sum is bitwise numpy's
 `total += G_l @ C_l.T`; for one sample (evaluate, the expectation) it agrees
-with that to round-off, since numpy then takes a matrix-vector kernel.
+with that to round-off, since numpy then takes a matrix-vector kernel.  The
+contraction's walk down to the spatial frame takes one BLAS GEMM per tree
+step, with other kernels for one sample than for a batch as well, so
+evaluate(y) and a one-point psi_batch agree with the point's batch row to
+round-off only: at most 1.6e-14 relative on the benchmark's highdim-logu
+surrogate (N=8, L=3), whose transfer tensors hold entries up to about 1e3
+against coefficients of order 1, and under 2e-15 on its affine ones.
 """
 
 from __future__ import annotations

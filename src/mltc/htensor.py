@@ -14,9 +14,13 @@ free mode is recovered by walking the root-to-leaf path down to its
 (M, r_free) coefficients.  ht_entries gathers leaf rows at multi-indices and
 keeps the root values (the entries the cross approximation validates); the
 surrogate passes per-sample interpolation or quadrature weights and keeps the
-coefficients of its spatial frame.  ht_full densifies a small tensor, the
-reference the tests compare against.  Modes are 0-based throughout; row
-order of any frame is lexicographic in the node's sorted mode list.
+coefficients of its spatial frame.  The walk takes one BLAS GEMM per step;
+the upward pass stays a per-sample einsum, because step 2 of the cross
+approximation reads its values and a BLAS form would move them in their
+last bits, and with them the builds' pivots and counts.  ht_full densifies
+a small tensor, the reference the tests compare against.  Modes are 0-based
+throughout; row order of any frame is lexicographic in the node's sorted mode
+list.
 """
 
 from __future__ import annotations
@@ -189,21 +193,42 @@ class HTensor:
 def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.ndarray:
     """Per-sample coefficients in the free leaf's frame after contracting the rest.
 
-    rows maps each contracted mode to an (M, r_leaf) array whose row m is
-    sample m's weight vector already multiplied into that mode's leaf frame.
-    One upward pass reduces every subtree off the root-to-free-leaf path to
-    (M, r_t) rows, and the path is walked down to the (M, r_free)
-    coefficients of the free leaf frame.  Without a free mode the result is
-    the (M, 1) root values (the root rank is 1).
+    free_mode is None or one of X's modes, and rows maps every other mode to
+    an (M, r_leaf) array whose row m is sample m's weight vector already
+    multiplied into that mode's leaf frame; every array must be 2-D, with the
+    M of the first and its leaf's rank as column count, or ValueError names
+    the mode.  One upward pass reduces
+    every subtree off the root-to-free-leaf path to (M, r_t) rows with the
+    einsum "sab,ma,mb->ms"; without a free mode that pass is all there is,
+    and its (M, 1) root values (the root rank is 1) are the result, which
+    ht_entries and so the cross approximation's validation read.  With a
+    free mode the path is walked from the root down to the (M, r_free)
+    coefficients of the free leaf frame, one BLAS GEMM per step: with C the
+    (M, s) coefficients at a node and B its (s, a, b) transfer tensor, the
+    path child's axis last, T = C @ B.reshape(s, a*b) is viewed as (M, a, b)
+    and each sample's sibling row contracts its own slice of T.  At the root
+    s = 1 and C is 1, so that step is the GEMM of the sibling rows with B[0].
     """
     tree = X.tree
-    expected = set(range(X.order)) - {free_mode}
-    if set(rows) != expected:
-        raise ValueError(f"rows must cover exactly the modes {sorted(expected)}")
+    leaves = tree.leaf_of_mode
+    if free_mode is not None and free_mode not in leaves:
+        raise ValueError(f"free mode {free_mode!r} is not one of the modes 0..{X.order - 1}")
+    if (len(rows) != X.order - (free_mode is not None) or free_mode in rows
+            or not rows.keys() <= leaves.keys()):
+        expected = sorted(set(range(X.order)) - {free_mode})
+        raise ValueError(f"rows must cover exactly the modes {expected}")
+    # M from the first array; a 0-D first array gets -1, which no shape matches
+    M = (next(iter(rows.values())).shape or (-1,))[0] if rows else 1
+    for m, R in rows.items():
+        want = (M, X._ranks[leaves[m]])
+        if R.shape != want:
+            raise ValueError(f"rows of mode {m} have shape {R.shape}, expected {want}: "
+                             "one row per sample, as many as the first mode's, and one "
+                             "column per rank of the mode's leaf")
 
     def up(node_index):
         node = tree.nodes[node_index]
-        if node.is_leaf:
+        if not node.children:
             return rows[node.modes[0]]
         V1 = up(node.children[0])
         V2 = up(node.children[1])
@@ -212,19 +237,22 @@ def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.
 
     if free_mode is None:
         return up(tree.root)
-    path = [tree.leaf_of_mode[free_mode]]
-    while path[-1] != tree.root:
-        path.append(tree.nodes[path[-1]].parent)
-    path.reverse()
-    M = next(iter(rows.values())).shape[0] if rows else 1
     C = np.ones((M, 1))
-    for parent, child in zip(path, path[1:]):
-        left, right = tree.nodes[parent].children
-        B = X.transfers[parent]
-        if child == left:
-            C = np.einsum("ms,sab,mb->ma", C, B, up(right))
+    node = tree.nodes[tree.root]
+    while node.children:
+        left, right = node.children
+        B = X.transfers[node.index]
+        if free_mode in tree.nodes[left].modes:
+            child, B, V = left, B.transpose(0, 2, 1), up(right)
         else:
-            C = np.einsum("ms,sab,ma->mb", C, B, up(left))
+            child, V = right, up(left)
+        s, a, b = B.shape
+        if node.index == tree.root:
+            C = V @ B[0]
+        else:
+            T = (C @ B.reshape(s, a * b)).reshape(M, a, b)
+            C = (V[:, None, :] @ T)[:, 0]
+        node = tree.nodes[child]
     return C
 
 

@@ -37,6 +37,18 @@ def suite_htensor():
         idx = np.array([[int(rng.integers(n)) for n in sizes]])
         if abs(htensor.ht_entries(X, idx)[0] - T[tuple(idx[0])]) > 1e-12 * scale:
             return f"entry mismatch at trial {trial}"
+        # the free-mode walk runs on BLAS: M fibers of the dense tensor through
+        # the free mode, for one sample and for a batch
+        free = trial % d
+        for M in (1, 5):
+            idx = np.column_stack([rng.integers(0, n, M) for n in sizes])
+            rows = {m: X.leaf_frames[tree.leaf_of_mode[m]][idx[:, m]]
+                    for m in range(d) if m != free}
+            got = htensor.ht_coefficients(X, rows, free) @ \
+                X.leaf_frames[tree.leaf_of_mode[free]].T
+            want = np.moveaxis(T, free, -1)[tuple(idx[:, m] for m in rows)]
+            if np.max(np.abs(got - want)) > 1e-12 * scale:
+                return f"free-mode coefficients mismatch at trial {trial}, M = {M}"
     return None
 
 

@@ -166,11 +166,11 @@ def with_identity_leaf(X, mode):
 
 
 @st.composite
-def random_tensors(draw):
+def random_tensors(draw, batches=st.integers(1, 5)):
     d = draw(st.integers(1, 6))
     shape = draw(st.sampled_from(["balanced", "linear"]))
     rmax = draw(st.integers(1, 3))
-    M = draw(st.integers(1, 5))
+    M = draw(batches)
     sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = random_htensor(build_tree(d, shape), sizes, rmax, rng)
@@ -231,6 +231,138 @@ class TestContractProperties:
             ht_coefficients(X, rows, free_mode=1)
         r_free = X.ranks[X.tree.leaf_of_mode[2]]
         assert ht_coefficients(X, rows, free_mode=2).shape == (1, r_free)
+        # a free mode that is no mode of X, with rows for all of them
+        rows[2] = np.ones((1, r_free))
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="free mode"):
+                ht_coefficients(X, rows, free_mode=bad)
+
+
+def einsum_walk(X, rows, free_mode=None):
+    """The contraction as three-operand einsums: the recursive upward pass
+    "sab,ma,mb->ms", then the root-to-free-leaf walk with the coefficients,
+    the transfer tensor and the sibling's rows in one einsum per step."""
+    tree = X.tree
+
+    def up(node_index):
+        node = tree.nodes[node_index]
+        if node.is_leaf:
+            return rows[node.modes[0]]
+        return np.einsum("sab,ma,mb->ms", X.transfers[node_index],
+                         up(node.children[0]), up(node.children[1]))
+
+    if free_mode is None:
+        return up(tree.root)
+    path = [tree.leaf_of_mode[free_mode]]
+    while path[-1] != tree.root:
+        path.append(tree.nodes[path[-1]].parent)
+    M = next(iter(rows.values())).shape[0] if rows else 1
+    C = np.ones((M, 1))
+    for parent, child in zip(path[::-1], path[-2::-1]):
+        left, right = tree.nodes[parent].children
+        B = X.transfers[parent]
+        if child == left:
+            C = np.einsum("ms,sab,mb->ma", C, B, up(right))
+        else:
+            C = np.einsum("ms,sab,ma->mb", C, B, up(left))
+    return C
+
+
+def random_rows(X, M, rng, free_mode=None):
+    return {m: rng.standard_normal((M, X.ranks[X.tree.leaf_of_mode[m]]))
+            for m in range(X.order) if m != free_mode}
+
+
+BATCHES = st.sampled_from([0, 1, 2, 7, 64])
+
+
+class TestContractionPaths:
+    # ht_entries, and so the cross approximation's validation, reads the
+    # upward pass alone: it must keep every bit of the einsum reference, or
+    # the builds' pivots and counts move
+    @settings(max_examples=60, deadline=None)
+    @given(random_tensors(BATCHES))
+    @example(low_order_case(4, "balanced"))
+    @example(low_order_case(4, "linear"))
+    def test_upward_pass_bitwise(self, case):
+        X, M, rng = case
+        rows = random_rows(X, M, rng)
+        got = ht_coefficients(X, rows)
+        assert got.shape == (M, 1)
+        assert got.tobytes() == einsum_walk(X, rows).tobytes()
+        idx = np.column_stack([rng.integers(0, n, M) for n in X.mode_sizes])
+        leaf_rows = {m: X.leaf_frames[X.tree.leaf_of_mode[m]][idx[:, m]]
+                     for m in range(X.order)}
+        entries = ht_entries(X, idx)
+        assert entries.shape == (M,)
+        assert entries.tobytes() == einsum_walk(X, leaf_rows)[:, 0].tobytes()
+
+    # the walk takes one GEMM per step and so sums in another order than the
+    # einsum walk; every free mode of both tree shapes runs the left-child and
+    # the right-child branch, at the root and below it
+    @settings(max_examples=60, deadline=None)
+    @given(random_tensors(BATCHES))
+    @example(low_order_case(4, "balanced"))
+    @example(low_order_case(4, "linear"))
+    @example((random_htensor(build_tree(5, "linear"), (2,) * 5, 3,
+                             np.random.default_rng(5)), 64, np.random.default_rng(6)))
+    def test_walk_matches_einsum_walk(self, case):
+        X, M, rng = case
+        abs_X = HTensor(X.tree, X.mode_sizes,
+                        {k: abs(U) for k, U in X.leaf_frames.items()},
+                        {k: abs(B) for k, B in X.transfers.items()})
+        for free_mode in range(X.order):
+            rows = random_rows(X, M, rng, free_mode)
+            got = ht_coefficients(X, rows, free_mode)
+            r_free = X.ranks[X.tree.leaf_of_mode[free_mode]]
+            assert got.shape == ((M if rows else 1), r_free)
+            bound = einsum_walk(abs_X, {m: abs(R) for m, R in rows.items()}, free_mode)
+            assert np.all(abs(got - einsum_walk(X, rows, free_mode)) <= 1e-14 * bound)
+
+    @pytest.mark.parametrize("shape", ["balanced", "linear"])
+    def test_empty_batch_shapes(self, shape, rng):
+        X = random_htensor(build_tree(5, shape), (2, 3, 2, 3, 2), 3, rng)
+        for free_mode in [None] + list(range(5)):
+            got = ht_coefficients(X, random_rows(X, 0, rng, free_mode), free_mode)
+            r = 1 if free_mode is None else X.ranks[X.tree.leaf_of_mode[free_mode]]
+            assert got.shape == (0, r)
+
+
+class TestRowChecks:
+    @pytest.fixture
+    def tensor(self, rng):
+        return random_htensor(build_tree(3, "balanced"), (2, 3, 2), 3, rng)
+
+    def rows(self, X, counts, free_mode=None):
+        return {m: np.ones((M, X.ranks[X.tree.leaf_of_mode[m]]))
+                for m, M in zip((m for m in range(3) if m != free_mode), counts)}
+
+    @pytest.mark.parametrize("free_mode", [None, 2])
+    @pytest.mark.parametrize("counts", [(1, 5), (5, 1), (2, 3)])
+    def test_sample_counts_must_agree(self, tensor, counts, free_mode):
+        # einsum would broadcast a one-row mode against the others
+        rows = self.rows(tensor, counts + (5,), free_mode)
+        with pytest.raises(ValueError, match="rows of mode 1 "):
+            ht_coefficients(tensor, rows, free_mode)
+
+    @pytest.mark.parametrize("free_mode", [None, 0])
+    def test_rows_must_be_two_dimensional(self, tensor, free_mode):
+        rows = self.rows(tensor, (4, 4, 4), free_mode)
+        mode = 2
+        for bad in (rows[mode][0], rows[mode][None], np.float64(1.0)):
+            with pytest.raises(ValueError, match=f"rows of mode {mode} "):
+                ht_coefficients(tensor, {**rows, mode: bad}, free_mode)
+        first = next(iter(rows))
+        with pytest.raises(ValueError, match=f"rows of mode {first} "):
+            ht_coefficients(tensor, {**rows, first: rows[first][0]}, free_mode)
+
+    @pytest.mark.parametrize("free_mode", [None, 1])
+    def test_columns_must_match_leaf_rank(self, tensor, free_mode):
+        rows = self.rows(tensor, (4, 4, 4), free_mode)
+        for mode, R in rows.items():
+            for bad in (R[:, :-1], np.hstack([R, R[:, :1]])):
+                with pytest.raises(ValueError, match=f"rows of mode {mode} "):
+                    ht_coefficients(tensor, {**rows, mode: bad}, free_mode)
 
 
 class TestStorage:
