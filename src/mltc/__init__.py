@@ -6,8 +6,8 @@ approximation of the inter-level solution differences."""
 from .colloc import CollocationGrid, chebyshev_nodes
 from .config import ExperimentConfig, load_config
 from .cross import (ApproxResult, ColumnSource, EntryOracle, EvalBudget,
-                    TrainingSet, approximate_tensor, build_training_set,
-                    greedy_column_basis, hier_cross, lift_spatial, reduce_oracle)
+                    add_crosses, approximate_tensor, greedy_column_basis,
+                    hier_cross, lift_spatial, reduce_oracle)
 from .driver import (ErrorMetrics, LevelPlan, MLSurrogate, accuracy_schedule,
                      degree_schedule, error_metrics, run_ml)
 from .errors import (BudgetError, ConfigError, EllipticityError, PivotError,

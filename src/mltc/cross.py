@@ -15,6 +15,8 @@ tensors are filled with oracle values at pivot-determined entries only.  A
 validation pass on random probe crosses decides whether a tightened re-sweep
 is needed.  A node keeps only its pivot skeleton; CrossDiagnostics holds the
 sweep count, the last validation residual and whether it met the target.
+Every node has a _NodeState, the root included: its pivot columns are the
+single empty context, so its children's pools are built like any other's.
 
 Step 2 works on index arrays: pivots, row centers and column pools are
 (k, |modes|) intp arrays over a node's modes or its complement, compared by
@@ -22,10 +24,12 @@ their keys row @ strides[modes] (the tensor's C-order strides).  A row key
 plus a column key is the entry's flat C-order index, so a block's keys are one
 broadcast sum and the oracle is read by `lookup`, one call per block.  The
 counts and level tensors depend on these bitwise rules: candidates keep their
-first-seen order; rng draws and the oracle's calls keep their order and
-number; residual products U @ pm.solve(B) keep their operand shapes (a pivot
-search solves its skeleton-rows x pool block once, each row-fiber residual its
-own column); and PivotMatrix.solve makes the LAPACK calls solve_triangular
+first-seen order; the random draws, all made by `random_index` (training and
+probe crosses through `add_crosses`, row, context and sibling draws in
+`_CrossRun.distinct`), and the oracle's calls keep their order and number;
+residual products U @ pm.solve(B) keep their operand shapes (a pivot search
+solves its skeleton-rows x pool block once, each row-fiber residual its own
+column); and PivotMatrix.solve makes the LAPACK calls solve_triangular
 makes for a C-ordered factor, dtrtrs(lu.T, Z, lower=0, trans=1, unitdiag=1)
 then dtrtrs(lu.T, Z, lower=1, trans=1).  The plain dtrtrs(lu, Z, lower=1,
 unitdiag=1) rounds differently.
@@ -206,49 +210,40 @@ def cross_array(shape, center) -> np.ndarray:
     return out
 
 
-@dataclass
-class TrainingSet:
-    shape: tuple
-    indices: np.ndarray     # (m, d) intp rows, distinct, in first-seen order
-
-    def enrich(self, s: int, rng) -> None:
-        """Add s crosses with uniformly random centers; held rows keep their places."""
-        rows = [self.indices]
-        for _ in range(s):
-            center = tuple(int(rng.integers(n)) for n in self.shape)
-            rows.append(cross_array(self.shape, center))
-        rows = np.concatenate(rows)
-        keys = np.ravel_multi_index(tuple(rows.T), self.shape)
-        _, first = np.unique(keys, return_index=True)
-        self.indices = rows[np.sort(first)]
+def random_index(rng, sizes) -> tuple:
+    """A uniformly random multi-index over `sizes`, drawn position by position
+    with one integer draw each.  Every random draw of steps 1 and 2 is made here."""
+    return tuple(int(rng.integers(n)) for n in sizes)
 
 
-def build_training_set(shape, s: int, rng) -> TrainingSet:
-    """Union of s crosses with uniformly random centers."""
+def add_crosses(shape, held, s: int, rng) -> np.ndarray:
+    """The (m, d) intp rows of `held`, then s crosses with uniformly random
+    centers, each index once in first-seen order (held rows keep their places)."""
     if s < 1:
         raise ValueError("cross count must be at least 1")
-    shape = tuple(int(n) for n in shape)
-    train = TrainingSet(shape, np.empty((0, len(shape)), dtype=np.intp))
-    train.enrich(s, rng)
-    return train
+    rows = np.concatenate([held] + [cross_array(shape, random_index(rng, shape))
+                                    for _ in range(s)])
+    keys = np.ravel_multi_index(tuple(rows.T), shape)
+    _, first = np.unique(keys, return_index=True)
+    return rows[np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
 # step 1: greedy spatial column basis
 
-def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
-                        rng=None, max_rank: int | None = None) -> np.ndarray:
+def greedy_column_basis(source: ColumnSource, train: np.ndarray, eps: float,
+                        rng, max_rank: int | None = None) -> np.ndarray:
     """Greedy orthonormal basis V of the spatial column space.
 
     Repeatedly picks the trained column with the largest projection residual
-    and appends its normalized residual to V, enriching the training set with
-    fresh random crosses every loop and reusing all previously fetched
+    and appends its normalized residual to V, adding fresh random crosses to
+    the (m, N) training index array every loop (add_crosses returns a new
+    array; the caller's is not written) and reusing all previously fetched
     columns.  The termination threshold is eps * (largest column norm seen so
     far), re-evaluated each loop.
     """
     if not eps >= 0:
         raise ValueError("tolerance must be nonnegative")
-    rng = np.random.default_rng() if rng is None else rng
     n = source.n_spatial
     max_rank = n if max_rank is None else min(max_rank, n)
     V = np.zeros((n, 0))
@@ -261,14 +256,14 @@ def greedy_column_basis(source: ColumnSource, train: TrainingSet, eps: float,
             p = V.T @ c
             res2.append(max(norms2[-1] - float(p @ p), 0.0))
 
-    admit(train.indices)
+    admit(train)
     loops = 0
     while True:
         loops += 1
         if loops > 1:
-            before = len(train.indices)
-            train.enrich(S_PER_LOOP, rng)
-            admit(train.indices[before:])
+            before = len(train)
+            train = add_crosses(source.param_shape, train, S_PER_LOOP, rng)
+            admit(train[before:])
         threshold = eps * math.sqrt(max(norms2))
         appended = False
         while True:
@@ -406,7 +401,10 @@ class _CrossRun:
         self.eps = eps
         self.rng = rng
         self.rank_cap = rank_cap
-        self.states: dict[int, _NodeState] = {}
+        self.states = {node.index: _NodeState(node.modes, tree.complement(node),
+                                              self.strides) for node in tree.nodes}
+        # the root's one context is the empty index over its empty complement
+        self.states[tree.root].cols = np.zeros((1, 0), dtype=np.intp)
         self.hints = np.zeros((0, self.d), dtype=np.intp)   # full indices seeding pools
         self.extra_contexts = 0
         self._crosses = {}
@@ -417,9 +415,6 @@ class _CrossRun:
     def restrict(source_modes, idx, target_modes) -> np.ndarray:
         """The columns of the index rows `idx` (over source_modes) for target_modes."""
         return idx[:, [source_modes.index(m) for m in target_modes]]
-
-    def random_tuple(self, modes) -> tuple:
-        return tuple(int(self.rng.integers(self.shape[m])) for m in modes)
 
     def mode_cross(self, modes, center) -> np.ndarray:
         """cross_array over `modes`, memoized per run (callers do not write to it)."""
@@ -432,10 +427,11 @@ class _CrossRun:
         """The rows of `idx` over `modes` once each, in first-seen order, then up
         to `draws` random tuples, each kept if new, until `target` rows are held."""
         held = dict.fromkeys(map(tuple, idx.tolist()))
+        sizes = [self.shape[m] for m in modes]
         for _ in range(draws):
             if len(held) >= target:
                 break
-            held.setdefault(self.random_tuple(modes))
+            held.setdefault(random_index(self.rng, sizes))
         return np.array(list(held), dtype=np.intp).reshape(len(held), len(modes))
 
     # -- residuals ---------------------------------------------------------
@@ -455,20 +451,17 @@ class _CrossRun:
 
     # -- candidate pools ----------------------------------------------------
 
-    def node_pools(self, st: _NodeState, parent_state: _NodeState | None,
+    def node_pools(self, st: _NodeState, parent: _NodeState,
                    sibling_modes) -> tuple[np.ndarray, np.ndarray]:
         """(row candidate centers, column candidate pool) for one node.
 
         A column candidate joins a point of a cross through a sibling center
-        with a context; the pool keeps the first POOL_CAP distinct ones in the
-        order sibling center, cross point, context.
+        with a context, a pivot column of the parent; the pool keeps the first
+        POOL_CAP distinct ones in the order sibling center, cross point, context.
         """
         everything = tuple(range(self.d))
-        p_modes, p_rows = everything, np.zeros((0, self.d), dtype=np.intp)
-        ctx_modes, contexts = (), np.zeros((1, 0), dtype=np.intp)
-        if parent_state is not None:
-            p_modes, p_rows = parent_state.modes, parent_state.rows
-            ctx_modes, contexts = parent_state.comp, parent_state.cols
+        p_modes, p_rows = parent.modes, parent.rows
+        ctx_modes, contexts = parent.comp, parent.cols
         hints, restrict = self.hints, self.restrict
 
         rows = self.distinct(st.modes, np.concatenate(
@@ -526,8 +519,8 @@ class _CrossRun:
                 r = r_new
         return best
 
-    def grow_node(self, st: _NodeState, parent_state, sibling_modes, node_cap):
-        row_centers, col_pool = self.node_pools(st, parent_state, sibling_modes)
+    def grow_node(self, st: _NodeState, parent: _NodeState, sibling_modes, node_cap):
+        row_centers, col_pool = self.node_pools(st, parent, sibling_modes)
         while True:
             r, c, val = self.find_pivot(st, row_centers, col_pool)
             if r is None or val <= self.eps_node * self.oracle.max_abs or val == 0.0:
@@ -559,35 +552,27 @@ class _CrossRun:
 
     # -- sweeps ---------------------------------------------------------------
 
-    def state_for(self, node) -> _NodeState:
-        if node.index not in self.states:
-            comp = self.tree.complement(node)
-            self.states[node.index] = _NodeState(tuple(node.modes), comp, self.strides)
-        return self.states[node.index]
-
     def sweep(self):
         for idx in self.tree.breadth_first():
             node = self.tree.nodes[idx]
             if node.is_leaf:
                 continue
-            c1, c2 = (self.tree.nodes[i] for i in node.children)
-            s1, s2 = self.state_for(c1), self.state_for(c2)
+            parent = self.states[idx]
+            s1, s2 = (self.states[i] for i in node.children)
+            self.grow_node(s1, parent, s2.modes, self.node_rank_cap(s1))
             if node.parent == -1:
-                self.grow_node(s1, None, tuple(c2.modes), self.node_rank_cap(c1))
                 # the sibling state is the transpose of the same skeleton
                 s2.rows = self.restrict(s1.comp, s1.cols, s2.modes)
                 s2.cols = self.restrict(s1.modes, s1.rows, s2.comp)
                 s2.M, s2.zero = s1.M.T.copy(), s1.zero
                 s2.pm = PivotMatrix(s2.M)
             else:
-                parent = self.state_for(node)
-                self.grow_node(s1, parent, tuple(c2.modes), self.node_rank_cap(c1))
-                self.grow_node(s2, parent, tuple(c1.modes), self.node_rank_cap(c2))
+                self.grow_node(s2, parent, s1.modes, self.node_rank_cap(s2))
 
-    def node_rank_cap(self, node) -> int:
+    def node_rank_cap(self, st: _NodeState) -> int:
         cap = self.rank_cap + 1
         sizes = []
-        for modes in (node.modes, self.tree.complement(node)):
+        for modes in (st.modes, st.comp):
             sizes.append(1)
             for m in modes:
                 sizes[-1] = min(sizes[-1] * self.shape[m], cap)
@@ -602,12 +587,9 @@ class _CrossRun:
             U = self._block(st, np.arange(self.shape[node.modes[0]])[:, None], st.cols)
             leaf_frames[node.index] = np.zeros_like(U) if st.zero else U
         for node in self.tree.internal_nodes():
-            c1, c2 = (self.tree.nodes[i] for i in node.children)
-            s1, s2 = self.states[c1.index], self.states[c2.index]
-            zero, contexts = False, np.zeros(1, dtype=np.intp)  # the root's empty context
-            if node.parent != -1:
-                st = self.states[node.index]
-                zero, contexts = st.zero, st.cols @ st.cstride
+            st = self.states[node.index]
+            s1, s2 = (self.states[i] for i in node.children)
+            contexts = st.cols @ st.cstride
             # the entry at (s1 row, s2 row, context) has the sum of the three keys
             row_keys = (s1.rows @ s1.rstride)[:, None]
             col_keys = (s2.rows @ s2.rstride)[None, :] + contexts[:, None]
@@ -615,7 +597,7 @@ class _CrossRun:
             for s in range(len(contexts)):
                 W = s1.pm.solve(self.oracle.lookup(row_keys + col_keys[s]))
                 B[s] = s2.pm.solve(W.T).T
-            transfers[node.index] = np.zeros_like(B) if zero else B
+            transfers[node.index] = np.zeros_like(B) if st.zero else B
         return HTensor(self.tree, self.shape, leaf_frames, transfers)
 
     # -- validation ---------------------------------------------------------------
@@ -623,7 +605,8 @@ class _CrossRun:
     def validate(self, X: HTensor):
         from .htensor import ht_entries
 
-        probes = build_training_set(self.shape, PROBE_CROSSES, self.rng).indices
+        probes = add_crosses(self.shape, np.zeros((0, self.d), dtype=np.intp),
+                             PROBE_CROSSES, self.rng)
         exact = self.oracle.entries(probes)
         gap = exact - ht_entries(X, probes)
         denom = np.linalg.norm(exact)
@@ -655,7 +638,7 @@ class _CrossRun:
         return X, diag
 
 
-def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
+def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng,
                rank_cap: int = DEFAULT_RANK_CAP):
     """Adaptive cross approximation of an entry oracle in hierarchical form.
 
@@ -670,7 +653,6 @@ def hier_cross(oracle, tree: DimensionTree, eps_ten: float, *, rng=None,
         raise ValueError("oracle order must match the tree")
     if tree.order < 2:
         raise ValueError("cross approximation needs a tree of order at least 2")
-    rng = np.random.default_rng() if rng is None else rng
     return _CrossRun(oracle, tree, eps_ten, rng, rank_cap).run()
 
 
@@ -704,7 +686,7 @@ class ApproxResult:
 
 
 def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float,
-                       *, rng=None, rank_cap: int = DEFAULT_RANK_CAP) -> ApproxResult:
+                       *, rng, rank_cap: int = DEFAULT_RANK_CAP) -> ApproxResult:
     """Run the three-step pipeline against a fiber-structured oracle.
 
     Step 1 uses an absolute tolerance derived from eps_rel and the running
@@ -714,12 +696,12 @@ def approximate_tensor(source: ColumnSource, tree: DimensionTree, eps_rel: float
     """
     if not eps_rel > 0:
         raise ValueError("relative accuracy must be positive")
-    rng = np.random.default_rng() if rng is None else rng
 
     t0 = time.perf_counter()
     fetched = source.n_fetched
-    train = build_training_set(source.param_shape, S_INIT, rng)
-    V = greedy_column_basis(source, train, eps_rel, rng=rng, max_rank=rank_cap)
+    train = add_crosses(source.param_shape, np.zeros((0, len(source.param_shape)),
+                                                     dtype=np.intp), S_INIT, rng)
+    V = greedy_column_basis(source, train, eps_rel, rng, max_rank=rank_cap)
     step1_evals = source.n_fetched - fetched
     t1 = time.perf_counter()
 

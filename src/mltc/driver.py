@@ -243,7 +243,8 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     solve_at, the latter from a memo of level l-1's solves, keyed by the
     parameter point, when it is there.  solves_reused counts these hits;
     they occur where p(l) = p(l-1), as Chebyshev nodes of adjacent degrees
-    never coincide.  A fiber above the cut takes both from one
+    never coincide, so a level keeps its solves only for a next level of
+    its own degree.  A fiber above the cut takes both from one
     fem.solve_ladder(y_k, l) call, the ladder that validation uses too, and
     reuses no solve; pde_solves still counts two solves per fiber.  The
     table in fem's module docstring gives each solver's distance from
@@ -277,7 +278,8 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
                                 eps_target=eps_l)
         t0 = time.process_time()
         # this level's solves, kept when the next level solves by solve_at too
-        keep = level < min(L, fem.DIRECT_MAX_LEVEL)
+        # at the same degree: other degrees share no Chebyshev node with p
+        keep = level < min(L, fem.DIRECT_MAX_LEVEL) and plan.degrees[level + 1] == p
         memo_next, memo_size = {}, len(memo)
         pcg = []            # per ladder fiber: its top rung's iterations, -1 on a fallback
 

@@ -302,7 +302,7 @@ class StorageReport:
 def storage_and_ranks(X: HTensor) -> StorageReport:
     """Storage count, maximal rank and the effective rank.
 
-    The effective rank is the positive root of
+    The effective rank is the one real root of the strictly increasing cubic
     (d-1) * r^3 + r * sum_i(n_i) = storage, i.e. the uniform rank a tensor of
     these mode sizes would need to occupy the same number of scalars.
     """
@@ -312,21 +312,6 @@ def storage_and_ranks(X: HTensor) -> StorageReport:
     for node in X.tree.internal_nodes():
         storage += X.transfers[node.index].size
     r_max = max(X.ranks.values())
-    d = X.order
-    size_sum = float(sum(X.mode_sizes))
-
-    def cost(r):
-        return (d - 1) * r**3 + r * size_sum
-
-    lo, hi = 0.0, float(max(r_max, 1))
-    while cost(hi) < storage:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cost(mid) < storage:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10:
-            break
-    return StorageReport(int(storage), int(r_max), 0.5 * (lo + hi))
+    roots = np.roots([X.order - 1, 0.0, float(sum(X.mode_sizes)), -float(storage)])
+    r_eff = roots[np.argmin(np.abs(roots.imag))].real
+    return StorageReport(int(storage), int(r_max), float(r_eff))

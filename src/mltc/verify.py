@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import traceback
+
 import numpy as np
 
 from . import colloc, cross, driver, fem, fields, htensor
@@ -165,7 +167,11 @@ SUITES = [
 def run_all(out=print) -> bool:
     ok = True
     for name, fn in SUITES:
-        failure = fn()
+        try:
+            failure = fn()
+        except Exception as err:    # a raising suite fails alone; the rest still run
+            traceback.print_exc()
+            failure = f"{type(err).__name__}: {err}"
         if failure is None:
             out(f"PASS {name}")
         else:

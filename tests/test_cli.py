@@ -202,7 +202,7 @@ class TestRun:
             header = fh.readline().strip().split(",")
         assert header == ["level", "degree", "n", "r_eff", "r_max", "step1",
                           "step2", "pde_solves", "time_s", "eps_level"]
-        levels = list(csv.DictReader(open(out / "levels.csv")))
+        levels = read_rows(out / "levels.csv")
         assert len(levels) == 2                       # rows 0..max_level
         assert [r["degree"] for r in levels] == ["1", "0"]
         assert levels[-1]["r_max"] == "1"
@@ -215,7 +215,7 @@ class TestRun:
             header = fh.readline().strip().split(",")
         assert header == ["max_level", "eps_ml_u", "eps_e_u", "eps_ml_psi",
                           "eps_e_psi"]
-        errors = list(csv.DictReader(open(out / "errors.csv")))
+        errors = read_rows(out / "errors.csv")
         assert len(errors) == 1
         report = (out / "report.txt").read_text()
         # levels 0 and 1 are factorized, in the build and in validation
@@ -241,7 +241,7 @@ class TestRun:
         cfg = write_config(tmp_path / "c.ini", decay="zero", max_level="2",
                            ref_level="2", out_dir=tmp_path / "out")
         assert main(["run", str(cfg)]) == 0
-        errors = list(csv.DictReader(open(tmp_path / "out" / "errors.csv")))
+        errors = read_rows(tmp_path / "out" / "errors.csv")
         assert float(errors[0]["eps_ml_u"]) < 1e-10
         # ref_level == max_level: no reference build, so no expectation errors
         assert errors[0]["eps_e_u"] == errors[0]["eps_e_psi"] == ""
@@ -271,7 +271,7 @@ class TestRun:
                             mean=0.85, max_level=2, ref_level=2,
                             out_dir=tmp_path / "out")
         assert cli.cmd_run(load_config(path)) == 4
-        levels = list(csv.DictReader(open(tmp_path / "out" / "levels.csv")))
+        levels = read_rows(tmp_path / "out" / "levels.csv")
         assert [r["level"] for r in levels] == ["0", "1"]
         assert [r["pde_solves"] for r in levels] == ["8", "0"]
 
@@ -408,7 +408,7 @@ class TestRun:
     def test_bundled_small_config(self, tmp_path):
         cfg = CONFIGS / "exp-decay-small.ini"
         assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
-        levels = list(csv.DictReader(open(tmp_path / "levels.csv")))
+        levels = read_rows(tmp_path / "levels.csv")
         assert len(levels) == 5
         assert [r["degree"] for r in levels] == ["2", "2", "1", "1", "0"]
 
@@ -453,13 +453,29 @@ class TestVerify:
         assert main(["verify"]) == 1
         assert "FAIL injected" in capsys.readouterr().out
 
+    def test_raising_suite_fails_alone(self, capsys, monkeypatch):
+        # a suite that raises is reported as FAIL with its exception (its
+        # traceback goes to stderr), and the suites after it still run
+        from mltc import verify
+
+        def broken():
+            raise ValueError("matmul: operand mismatch")
+
+        monkeypatch.setattr(verify, "SUITES", [("broken", broken)] + verify.SUITES)
+        assert main(["verify"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "FAIL broken: ValueError: matmul: operand mismatch"
+        assert [line.split()[0] for line in lines[1:]] == ["PASS"] * 4
+        assert "Traceback" in err and "in broken" in err
+
 
 class TestSweep:
     def test_rows_and_exactness(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", max_level="2", ref_level="3",
                            out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), "--levels", "1,2"]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "out" / "errors.csv")))
+        rows = read_rows(tmp_path / "out" / "errors.csv")
         assert [r["max_level"] for r in rows] == ["1", "2"]
         assert all(float(r["eps_ml_u"]) > 0 for r in rows)
 
@@ -472,8 +488,8 @@ class TestSweep:
                             out_dir=out_sweep)
         assert main(["run", str(cfg1)]) == 0
         assert main(["sweep", str(cfg2), "--levels", "1"]) == 0
-        a = list(csv.DictReader(open(out_run / "errors.csv")))[0]
-        b = list(csv.DictReader(open(out_sweep / "errors.csv")))[0]
+        a = read_rows(out_run / "errors.csv")[0]
+        b = read_rows(out_sweep / "errors.csv")[0]
         assert a["eps_ml_u"] == b["eps_ml_u"]
         assert a["eps_e_u"] == b["eps_e_u"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mltc import cross, htensor
 from mltc.cross import (DEFAULT_RANK_CAP, ColumnSource, EntryOracle, EvalBudget,
-                        PivotMatrix, approximate_tensor, build_training_set,
+                        PivotMatrix, add_crosses, approximate_tensor,
                         cross_array, greedy_column_basis, hier_cross,
                         lift_spatial, reduce_oracle)
 from mltc.errors import BudgetError, PivotError
@@ -18,6 +18,11 @@ from conftest import random_htensor
 
 def dense_oracle(T, budget=None):
     return EntryOracle(T.shape, lambda idx: T[tuple(idx.T)], budget=budget)
+
+
+def no_rows(d):
+    """An empty (0, d) training set."""
+    return np.zeros((0, d), dtype=np.intp)
 
 
 def rank_one(vs):
@@ -174,28 +179,39 @@ class TestTrainingSet:
         assert got.tolist() == [[1, 1], [0, 1], [2, 1], [1, 0], [1, 2]]
 
     def test_overlap_bound(self, rng):
-        train = build_training_set((5,) * 10, 3, rng)
-        assert train.indices.dtype == np.intp and train.indices.shape[1] == 10
-        assert len(train.indices) <= 3 * (10 * 5 - 9)
-        assert len(np.unique(train.indices, axis=0)) == len(train.indices)
+        train = add_crosses((5,) * 10, no_rows(10), 3, rng)
+        assert train.dtype == np.intp and train.shape[1] == 10
+        assert len(train) <= 3 * (10 * 5 - 9)
+        assert len(np.unique(train, axis=0)) == len(train)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_seen_union_of_crosses(self, seed):
         shape = (3, 2, 4)
-        train = build_training_set(shape, 2, np.random.default_rng(seed))
-        held = train.indices.copy()
-        train.enrich(3, np.random.default_rng(seed + 10))
-        assert np.array_equal(train.indices[:len(held)], held)   # held rows stay put
+        held = add_crosses(shape, no_rows(3), 2, np.random.default_rng(seed))
+        before = held.copy()
+        train = add_crosses(shape, held, 3, np.random.default_rng(seed + 10))
+        assert np.array_equal(held, before)             # the held array is not written
+        assert np.array_equal(train[:len(held)], held)  # and its rows come first
         union = {}
         for gen, s in ((np.random.default_rng(seed), 2), (np.random.default_rng(seed + 10), 3)):
             for _ in range(s):
                 center = [int(gen.integers(n)) for n in shape]
                 union.update(dict.fromkeys(map(tuple, cross_array(shape, center).tolist())))
-        assert list(map(tuple, train.indices.tolist())) == list(union)
+        assert list(map(tuple, train.tolist())) == list(union)
+
+    def test_held_rows_kept_in_their_order(self):
+        # held rows need not come from crosses: they stay first, in their own
+        # order, and a cross point equal to one of them is not added again
+        shape = (3, 3)
+        held = np.array([[2, 2], [0, 1], [1, 1]], dtype=np.intp)
+        before = held.copy()
+        train = add_crosses(shape, held, 1, ScriptedRng([1, 1]))
+        assert np.array_equal(held, before)
+        assert train.tolist() == [[2, 2], [0, 1], [1, 1], [2, 1], [1, 0], [1, 2]]
 
     def test_zero_crosses_rejected(self, rng):
         with pytest.raises(ValueError):
-            build_training_set((3, 3), 0, rng)
+            add_crosses((3, 3), no_rows(2), 0, rng)
 
 
 class TestColumnSource:
@@ -218,8 +234,8 @@ class TestGreedyColumnBasis:
         v = rng.standard_normal(8) + 3.0
         T = np.tile(v[None, :], (5, 1))          # all columns equal v
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
-        train = build_training_set((5,), 1, rng)
-        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        train = add_crosses((5,), no_rows(1), 1, rng)
+        V = greedy_column_basis(src, train, 1e-10, rng)
         assert V.shape[1] == 1
         assert np.allclose(np.abs(V[:, 0]), np.abs(v / np.linalg.norm(v)))
 
@@ -229,9 +245,8 @@ class TestGreedyColumnBasis:
         cols = np.array([u, w, u + w, 2 * u, u - w, w])   # span = {u, w}
         T = cols                                           # 6 x 4
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
-        train = build_training_set((6,), 3, rng)
-        train.indices = [(i,) for i in range(6)]
-        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        train = np.arange(6, dtype=np.intp)[:, None]     # every column
+        V = greedy_column_basis(src, train, 1e-10, rng)
         assert V.shape[1] == 2
         for direction in (u, w):
             res = direction - V @ (V.T @ direction)
@@ -240,8 +255,8 @@ class TestGreedyColumnBasis:
     def test_zero_columns_give_unit_vector(self, rng):
         T = np.zeros((4, 3))
         src = ColumnSource.from_entry_oracle(dense_oracle(T))
-        train = build_training_set((4,), 2, rng)
-        V = greedy_column_basis(src, train, 1e-10, rng=rng)
+        train = add_crosses((4,), no_rows(1), 2, rng)
+        V = greedy_column_basis(src, train, 1e-10, rng)
         assert np.array_equal(V, np.eye(3)[:, [0]])     # e_0 keeps the rank at one
 
     def test_threshold_relative_to_largest_column(self):
@@ -254,8 +269,10 @@ class TestGreedyColumnBasis:
         for scale in (1.0, 2.0**20, 2.0**-20):
             src = ColumnSource.from_entry_oracle(dense_oracle(scale * T))
             rng = np.random.default_rng(8)
-            train = build_training_set((4, 4), 1, rng)
-            V = greedy_column_basis(src, train, 1e-2, rng=rng)
+            train = add_crosses((4, 4), no_rows(2), 1, rng)
+            before = train.copy()
+            V = greedy_column_basis(src, train, 1e-2, rng)
+            assert np.array_equal(train, before)    # the loops add to a new array
             runs.append((V.shape[1], src.n_fetched, V))
         assert runs[0][0] >= 2
         for rank, fetched, V in runs[1:]:
@@ -353,10 +370,9 @@ class TestCrossIndexing:
         shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)))
         T = np.random.default_rng(d).standard_normal(shape)
         tree = build_tree(d, shape_name)
-        node = tree.nodes[data.draw(st.sampled_from(
-            [i for i in range(len(tree.nodes)) if i != tree.root]))]
+        node = tree.nodes[data.draw(st.sampled_from(range(len(tree.nodes))))]
         run = cross._CrossRun(dense_oracle(T), tree, 1e-8, None, DEFAULT_RANK_CAP)
-        state = run.state_for(node)
+        state = run.states[node.index]
 
         def draw_rows(modes):
             index = st.tuples(*(st.integers(0, shape[m] - 1) for m in modes))
@@ -385,8 +401,7 @@ class TestCrossIndexing:
                               DEFAULT_RANK_CAP)
         run.extra_contexts = 1
         leaf_node = tree.nodes[tree.leaf_of_mode[0]]
-        parent, leaf = (run.state_for(tree.nodes[i])
-                        for i in (leaf_node.parent, leaf_node.index))
+        parent, leaf = (run.states[i] for i in (leaf_node.parent, leaf_node.index))
         assert (parent.modes, parent.comp) == ((0, 1), (2, 3))
         assert (leaf.modes, leaf.comp) == ((0,), (1, 2, 3))
         parent.rows = np.array([[2, 1], [0, 1]])
@@ -401,6 +416,30 @@ class TestCrossIndexing:
         assert pool.tolist() == [[1, 1, 0], [1, 0, 1], [1, 1, 1],
                                  [0, 1, 0], [0, 0, 1], [0, 1, 1],
                                  [2, 1, 0]]
+
+    def test_root_child_pools_worked_example(self):
+        # modes (0, 1, 2, 3) of sizes (3, 3, 2, 2); the node is the root's child
+        # {0, 1} and its sibling {2, 3}.  The root's state holds no pivot rows
+        # and one empty context, so an extra context draw over no modes takes
+        # no integer from the rng.  Draws: rows (2, 0), (2, 0) (held), (1, 1),
+        # (0, 2); sibling centers (1, 0), (0, 1)
+        tree = build_tree(4, "balanced")
+        rng = ScriptedRng([2, 0, 2, 0, 1, 1, 0, 2, 1, 0, 0, 1])
+        run = cross._CrossRun(dense_oracle(np.zeros((3, 3, 2, 2))), tree, 1e-8, rng,
+                              DEFAULT_RANK_CAP)
+        run.extra_contexts = 1
+        root = run.states[tree.root]
+        child = run.states[tree.nodes[tree.root].children[0]]
+        assert (root.modes, root.comp) == ((0, 1, 2, 3), ())
+        assert root.rows.shape == (0, 4) and root.cols.shape == (1, 0)
+        assert (child.modes, child.comp) == ((0, 1), (2, 3))
+        rows, pool = run.node_pools(child, root, (2, 3))
+        assert rng.values == []
+        assert rows.tolist() == [[2, 0], [1, 1], [0, 2]]
+        # the crosses through (1, 0) and (0, 1), each point once, joined with
+        # the empty context
+        assert pool.tolist() == [[1, 0], [0, 0], [1, 1], [0, 1]]
+        assert root.rows.shape == (0, 4) and root.cols.shape == (1, 0)
 
 
 class TestHierCross:
@@ -431,9 +470,9 @@ class TestHierCross:
         assert diag.sweeps > 1
         assert len(calls) == diag.sweeps
 
-    def test_order_one_rejected(self):
+    def test_order_one_rejected(self, rng):
         with pytest.raises(ValueError):
-            hier_cross(dense_oracle(np.ones(3)), build_tree(1), 1e-8)
+            hier_cross(dense_oracle(np.ones(3)), build_tree(1), 1e-8, rng=rng)
 
     def test_flat_keys_must_fit_intp(self):
         # 2^66 entries: block keys would wrap around in np.intp, so the first
@@ -696,11 +735,12 @@ class TestApproximateTensor:
         src = ColumnSource.from_entry_oracle(dense_oracle(np.ones((2, 2))))
         for eps in (0.0, math.nan):
             with pytest.raises(ValueError):
-                approximate_tensor(src, build_tree(2, "balanced"), eps)
+                approximate_tensor(src, build_tree(2, "balanced"), eps, rng=rng)
 
     def test_nan_step_tolerances(self, rng):
         src = ColumnSource.from_entry_oracle(dense_oracle(np.ones((2, 2))))
         with pytest.raises(ValueError, match="^tolerance must be nonnegative"):
-            greedy_column_basis(src, build_training_set((2,), 1, rng), math.nan)
+            greedy_column_basis(src, add_crosses((2,), no_rows(1), 1, rng), math.nan, rng)
         with pytest.raises(ValueError, match="tensor tolerance"):
-            hier_cross(dense_oracle(np.ones((2, 2))), build_tree(2, "balanced"), math.nan)
+            hier_cross(dense_oracle(np.ones((2, 2))), build_tree(2, "balanced"), math.nan,
+                       rng=rng)

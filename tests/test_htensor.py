@@ -401,6 +401,24 @@ class TestStorage:
         value = (d - 1) * rep.r_eff**3 + rep.r_eff * sum(X.mode_sizes)
         assert abs(value - rep.storage_scalars) < 1e-6 * rep.storage_scalars
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from(["balanced", "linear"]), st.data())
+    def test_effective_rank_is_the_root_of_the_cost(self, d, shape, data):
+        # the effective rank is the real root of the storage cubic, to round-off
+        sizes = tuple(data.draw(st.lists(st.integers(1, 300), min_size=d, max_size=d)))
+        rmax, seed = data.draw(st.integers(1, 12)), data.draw(st.integers(0, 2**16))
+        X = random_htensor(build_tree(d, shape), sizes, rmax, np.random.default_rng(seed))
+        rep = storage_and_ranks(X)
+        cost = (d - 1) * rep.r_eff**3 + rep.r_eff * sum(sizes)
+        assert abs(cost - rep.storage_scalars) <= 1e-12 * rep.storage_scalars
+
+    @pytest.mark.parametrize("n", [1, 7, 263169])
+    def test_order_one_effective_rank(self, n):
+        # a single frame costs r * n, so its effective rank is its rank exactly
+        X = random_htensor(build_tree(1), (n,), 1, np.random.default_rng(0))
+        rep = storage_and_ranks(X)
+        assert rep.storage_scalars == n and rep.r_eff == 1.0
+
 
 class TestRandomizedAgreement:
     def test_entry_agrees_with_dense(self, rng):
