@@ -21,7 +21,9 @@ level 1").  report.txt also lists, per level, the most PCG iterations a
 build fiber's solve and a validation solve took (see driver.run_ml and
 driver.error_metrics), the wall time of each level's step 1 (column basis)
 and step 2 (cross approximation), and the fibers each level's step 2 fetched,
-whose FE solves that step's time includes.
+whose FE solves that step's time includes.  Config values are read literally
+(`%` is an ordinary character), `[DEFAULT]` is an unknown section like any
+other, and `verify` takes no options.
 """
 
 from __future__ import annotations
@@ -50,6 +52,12 @@ LEVEL_COLUMNS = ["level", "degree", "n", "r_eff", "r_max", "step1", "step2",
                  "pde_solves", "time_s", "eps_level"]
 ERROR_COLUMNS = ["max_level", "eps_ml_u", "eps_e_u", "eps_ml_psi", "eps_e_psi"]
 
+# each failure's exit code and stderr prefix, first match wins: the rest of ABORTS
+# is a numerical failure, and any other exception an internal error
+EXIT_CODES = {ConfigError: (2, "config error"), BudgetError: (3, "budget abort"),
+              EllipticityError: (4, "ellipticity failure"),
+              ABORTS: (5, "numerical failure"), Exception: (1, "internal error")}
+
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
@@ -59,18 +67,11 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _abort(err: Exception) -> int:
-    """Report a budget abort (exit 3), a loss of ellipticity (exit 4) or a
-    numerical failure (exit 5): a singular pivot, a non-finite value or a
-    failed factorization."""
-    if isinstance(err, BudgetError):
-        print(f"budget abort: {err}", file=sys.stderr)
-        return 3
-    if isinstance(err, EllipticityError):
-        print(f"ellipticity failure: {err}", file=sys.stderr)
-        return 4
-    print(f"numerical failure: {err}", file=sys.stderr)
-    return 5
+def _exit_code(err: Exception) -> int:
+    """Name `err` on stderr with its EXIT_CODES prefix and return its code."""
+    code, prefix = next(row for kind, row in EXIT_CODES.items() if isinstance(err, kind))
+    print(f"{prefix}: {err}", file=sys.stderr)
+    return code
 
 
 def _blas_build(module) -> str:
@@ -96,25 +97,23 @@ def _environment_stamp() -> list[str]:
     ]
 
 
-def _write_levels_csv(path: Path, diags: list[LevelDiagnostics], eps_level):
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(LEVEL_COLUMNS)
-        for d in diags:
-            eps = f"{eps_level[d.level]:.6e}" if d.level < len(eps_level) else ""
-            w.writerow([d.level, d.degree, d.n_spatial, f"{d.r_eff:.6f}", d.r_max,
-                        d.step1_evals, d.step2_evals, d.pde_solves,
-                        f"{d.time_s:.6f}", eps])
+        csv.writer(fh).writerows([header, *rows])
 
 
-def _write_errors_csv(path: Path, rows: list[tuple[int, ErrorMetrics]]):
-    """One row per (max_level, metrics); a missing expectation error stays empty."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(ERROR_COLUMNS)
-        for L, m in rows:
-            w.writerow([L] + ["" if v is None else f"{v:.6e}"
-                              for v in (m.eps_ml_u, m.eps_e_u, m.eps_ml_psi, m.eps_e_psi)])
+def _level_rows(diags: list[LevelDiagnostics], eps_level) -> list[list]:
+    """LEVEL_COLUMNS rows; eps_level stays empty for a level without an error."""
+    return [[d.level, d.degree, d.n_spatial, f"{d.r_eff:.6f}", d.r_max, d.step1_evals,
+             d.step2_evals, d.pde_solves, f"{d.time_s:.6f}",
+             f"{eps_level[d.level]:.6e}" if d.level < len(eps_level) else ""]
+            for d in diags]
+
+
+def _error_row(L: int, m: ErrorMetrics) -> list:
+    """The ERROR_COLUMNS row of level L; a missing expectation error stays empty."""
+    return [L] + ["" if v is None else f"{v:.6e}"
+                  for v in (m.eps_ml_u, m.eps_e_u, m.eps_ml_psi, m.eps_e_psi)]
 
 
 def _level_table(diags: list[LevelDiagnostics], eps_level) -> list[str]:
@@ -165,17 +164,6 @@ def _build(cfg: ExperimentConfig, model, level: int, seed: int
                   seed=seed, rank_cap=cfg.rank_cap, eval_budget=cfg.eval_budget)
 
 
-def _build_reference(cfg: ExperimentConfig, model
-                     ) -> tuple[MLSurrogate | None, list[LevelDiagnostics]]:
-    """The reference surrogate and the diagnostics of its own build, if it has one.
-
-    A reference at max_level would be the surrogate itself, so there is none.
-    """
-    if cfg.ref_level is None or cfg.ref_level == cfg.max_level:
-        return None, []
-    return _build(cfg, model, cfg.ref_level, cfg.seed + 1)
-
-
 def cmd_run(cfg: ExperimentConfig) -> int:
     _check_index_range(cfg, {cfg.max_level, cfg.ref_level or cfg.max_level})
     out_dir = Path(cfg.out_dir)
@@ -185,7 +173,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     diags = []
     try:
         surrogate, diags = _build(cfg, model, cfg.max_level, cfg.seed)
-        reference, ref_diags = _build_reference(cfg, model)
+        # a reference at max_level would be the surrogate itself, so there is none
+        reference, ref_diags = None, []
+        if cfg.ref_level not in (None, cfg.max_level):
+            reference, ref_diags = _build(cfg, model, cfg.ref_level, cfg.seed + 1)
         warnings = _unconverged(diags) + _unconverged(ref_diags, "reference")
         for warning in warnings:
             print(warning, file=sys.stderr)
@@ -195,12 +186,12 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         # a failed reference build or validation keeps the levels of the
         # finished main build
         partial = diags or getattr(err, "partial_diagnostics", [])
-        _write_levels_csv(out_dir / "levels.csv", partial, [])
-        return _abort(err)
+        _write_csv(out_dir / "levels.csv", LEVEL_COLUMNS, _level_rows(partial, []))
+        return _exit_code(err)
     elapsed = time.perf_counter() - t0
 
-    _write_levels_csv(out_dir / "levels.csv", diags, metrics.eps_level_u)
-    _write_errors_csv(out_dir / "errors.csv", [(cfg.max_level, metrics)])
+    _write_csv(out_dir / "levels.csv", LEVEL_COLUMNS, _level_rows(diags, metrics.eps_level_u))
+    _write_csv(out_dir / "errors.csv", ERROR_COLUMNS, [_error_row(cfg.max_level, metrics)])
 
     lines = _config_echo(cfg)
     if model.relaxed_ellipticity:
@@ -210,23 +201,23 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     lines.extend(_level_table(diags, metrics.eps_level_u))
     lines.extend(warnings)
     lines.append("")
-    lines.append(f"eps_ml[u]  = {metrics.eps_ml_u:.6e}")
-    if metrics.eps_e_u is not None:
-        lines.append(f"eps_E[u]   = {metrics.eps_e_u:.6e}")
-    lines.append(f"eps_ml[psi] = {metrics.eps_ml_psi:.6e}")
-    if metrics.eps_e_psi is not None:
-        lines.append(f"eps_E[psi]  = {metrics.eps_e_psi:.6e}")
-    lines.append("build pcg iterations per level (0 LU, -1 fell back to LU): "
-                 + " ".join(str(d.pcg_iterations) for d in diags))
-    lines.append("build step 1 (column basis) seconds per level: "
-                 + " ".join(f"{d.step1_s:.3f}" for d in diags))
-    lines.append("build step 2 (cross approximation) seconds per level: "
-                 + " ".join(f"{d.step2_s:.3f}" for d in diags))
-    # step 2's time includes the FE solves of the fibers it fetches first
-    lines.append("build fibers fetched in step 2 per level: "
-                 + " ".join(str(d.fibers - d.step1_evals) for d in diags))
-    lines.append("validation pcg iterations per level (0 LU, -1 fell back to LU): "
-                 + " ".join(str(k) for k in metrics.pcg_iterations))
+    # the expectation errors are None without a reference build
+    errors = [("eps_ml[u] ", metrics.eps_ml_u), ("eps_E[u]  ", metrics.eps_e_u),
+              ("eps_ml[psi]", metrics.eps_ml_psi), ("eps_E[psi] ", metrics.eps_e_psi)]
+    lines.extend(f"{label} = {value:.6e}" for label, value in errors if value is not None)
+    per_level = [
+        ("build pcg iterations per level (0 LU, -1 fell back to LU)",
+         [d.pcg_iterations for d in diags]),
+        ("build step 1 (column basis) seconds per level", [f"{d.step1_s:.3f}" for d in diags]),
+        ("build step 2 (cross approximation) seconds per level",
+         [f"{d.step2_s:.3f}" for d in diags]),
+        # step 2's time includes the FE solves of the fibers it fetches first
+        ("build fibers fetched in step 2 per level",
+         [d.fibers - d.step1_evals for d in diags]),
+        ("validation pcg iterations per level (0 LU, -1 fell back to LU)",
+         metrics.pcg_iterations),
+    ]
+    lines.extend(f"{label}: " + " ".join(map(str, values)) for label, values in per_level)
     lines.append(f"total time: {elapsed:.1f}s")
     lines.append("")
     lines.extend(_environment_stamp())
@@ -250,7 +241,7 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
     rows = []
-    try:
+    try:    # an abort reaches main, which maps it by EXIT_CODES
         reference, ref_diags = _build(cfg, model, ref_level, cfg.seed + 1)
         for warning in _unconverged(ref_diags, "reference"):
             print(warning, file=sys.stderr)
@@ -260,20 +251,14 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
                 print(warning, file=sys.stderr)
             metrics = error_metrics(surrogate, reference, samples=cfg.samples,
                                     seed=cfg.seed, per_level=False)
-            rows.append((L, metrics))
+            rows.append(_error_row(L, metrics))
             print(f"L={L}: eps_ml[u]={metrics.eps_ml_u:.6e} "
                   f"eps_E[u]={metrics.eps_e_u:.6e} "
                   f"eps_ml[psi]={metrics.eps_ml_psi:.6e} "
                   f"eps_E[psi]={metrics.eps_e_psi:.6e}")
-    except ABORTS as err:
-        return _abort(err)
     finally:
-        _write_errors_csv(out_dir / "errors.csv", rows)     # the levels finished so far
+        _write_csv(out_dir / "errors.csv", ERROR_COLUMNS, rows)     # the finished levels
     return 0
-
-
-def cmd_verify() -> int:
-    return 0 if verify.run_all() else 1
 
 
 def main(argv=None) -> int:
@@ -292,13 +277,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--levels", required=True,
                          help="comma-separated ascending max levels, e.g. 2,3,4")
-    sub.add_parser("verify", parents=[shared],
-                   help="run the built-in verification suites")
+    sub.add_parser("verify", help="run the built-in verification suites")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify()
+            return 0 if verify.run_all() else 1
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "run":
             return cmd_run(cfg)
@@ -307,14 +291,8 @@ def main(argv=None) -> int:
         except ValueError as err:
             raise ConfigError(f"bad --levels list: {err}") from err
         return cmd_sweep(cfg, levels)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ABORTS as err:
-        return _abort(err)
-    except Exception as err:  # pragma: no cover - internal failures
-        print(f"internal error: {err}", file=sys.stderr)
-        return 1
+    except Exception as err:
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

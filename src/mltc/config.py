@@ -1,8 +1,9 @@
 """Experiment configuration files (INI key-value format).
 
 Two sections: [model] selects the diffusion coefficient, [run] the schedule
-and reporting knobs.  An unknown section or key is an error, so a misspelled
-key never runs silently with its default.  See configs/ for bundled examples.
+and reporting knobs.  An unknown section (`[DEFAULT]` too) or key is an error,
+so a misspelled key never runs silently with its default.  Values are read
+literally: `%` is an ordinary character.  See configs/ for bundled examples.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # no section header can name "", so [DEFAULT] is an ordinary section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as err:

@@ -570,13 +570,8 @@ class _CrossRun:
                 self.grow_node(s2, parent, s1.modes, self.node_rank_cap(s2))
 
     def node_rank_cap(self, st: _NodeState) -> int:
-        cap = self.rank_cap + 1
-        sizes = []
-        for modes in (st.modes, st.comp):
-            sizes.append(1)
-            for m in modes:
-                sizes[-1] = min(sizes[-1] * self.shape[m], cap)
-        return min(*sizes, cap)
+        return min(math.prod(self.shape[m] for m in st.modes),
+                   math.prod(self.shape[m] for m in st.comp), self.rank_cap + 1)
 
     # -- assembly ---------------------------------------------------------------
 

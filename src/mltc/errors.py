@@ -21,5 +21,6 @@ class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
 
 
-# errors that end a build with partial outputs, each with its own exit code
+# errors that end a build with partial outputs; cli.EXIT_CODES gives BudgetError
+# exit 3, EllipticityError 4, and PivotError and ArithmeticError share 5
 ABORTS = (BudgetError, EllipticityError, PivotError, ArithmeticError)

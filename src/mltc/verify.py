@@ -1,4 +1,4 @@
-"""Built-in self-verification suites (deterministic, a few minutes total)."""
+"""Built-in self-verification suites (deterministic, a few seconds in all)."""
 
 from __future__ import annotations
 

@@ -118,6 +118,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="solver"):
             load_config(path)
 
+    @pytest.mark.parametrize("out_dir", ["out/100%done", "out/run-%(seed)s"])
+    def test_values_are_literal(self, tmp_path, out_dir):
+        # no interpolation: a % is an ordinary character, %(seed)s no reference
+        path = write_config(tmp_path / "c.ini", out_dir=out_dir)
+        assert load_config(path).out_dir == out_dir
+
+    @pytest.mark.parametrize("run_section", ["", "[run]\nseed = 3\n"])
+    def test_default_section_rejected(self, tmp_path, monkeypatch, capsys, run_section):
+        # [DEFAULT] is an ordinary, and so unknown, section: its keys neither
+        # reach [run] nor are dropped silently
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = tmp_path / "c.ini"
+        path.write_text("[DEFAULT]\nmax_level = 7\nsamples = 0\n" + run_section)
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            load_config(path)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: unknown section [DEFAULT]" in capsys.readouterr().err
+        assert builds == []
+
     def test_bad_values(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", decay="sqrt")
         with pytest.raises(ConfigError):
@@ -131,7 +151,9 @@ class TestConfig:
                                             ("eval_budget", "0"), ("eval_budget", "-1"),
                                             ("seed", "-1"), ("eps0", "nan"),
                                             ("eps0", "inf"), ("mean", "nan"),
-                                            ("mean", "inf")])
+                                            ("mean", "inf"), ("kind", "gaussian"),
+                                            ("terms", "0"), ("samples", "0"),
+                                            ("tree", "star")])
     def test_out_of_range_rejected(self, tmp_path, monkeypatch, key, value):
         builds = []
         monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
@@ -396,6 +418,13 @@ class TestRun:
             main(["run", str(cfg), "--threads", "2"])
         assert exit_info.value.code == 2
 
+    def test_relaxed_ellipticity_is_noted(self, tmp_path):
+        # worst-case bound -0.074, sampled minimum 0.177: make_model accepts it
+        cfg = write_config(tmp_path / "c.ini", mean=0.9, out_dir=tmp_path / "out")
+        assert main(["run", str(cfg)]) == 0
+        assert ("note: worst-case ellipticity bound nonpositive; accepted via "
+                "sampled minimum (> 0.05)\n") in (tmp_path / "out" / "report.txt").read_text()
+
     def test_nonelliptic_model_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", decay="slow-algebraic", terms=3,
                            mean=0.85, out_dir=tmp_path / "out")
@@ -444,6 +473,12 @@ class TestVerify:
         assert first.count("PASS") == 4 and "FAIL" not in first
         assert main(["verify"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--out-dir", "out"]])
+    def test_takes_no_options(self, option):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", *option])
+        assert exit_info.value.code == 2
 
     def test_injected_failure_is_nonzero(self, capsys, monkeypatch):
         from mltc import verify
@@ -582,6 +617,20 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.ini", ref_level="3", out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), f"--levels={levels}"]) == 2
         assert "sweep levels must be" in capsys.readouterr().err
+        assert builds == []
+
+    @pytest.mark.parametrize("levels, message", [
+        ("1,2", "ref_level must be in (largest sweep level, 12]"),
+        ("1,x", "bad --levels list"),
+    ])
+    def test_bad_reference_or_list_builds_nothing(self, tmp_path, monkeypatch, capsys,
+                                                  levels, message):
+        # the config's ref_level 2 is not above the largest swept level 2
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", levels]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
         assert builds == []
 
     def test_index_overflow_builds_nothing(self, tmp_path, monkeypatch, capsys):

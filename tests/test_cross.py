@@ -607,6 +607,22 @@ class TestHierCross:
             hier_cross(oracle, build_tree(3, "balanced"), 1e-12,
                        rng=np.random.default_rng(1))
 
+    def test_conditioning_guard_rejects_pivots(self, monkeypatch):
+        # no block of two or more pivots passes this guard: every rank stays 1,
+        # the run still ends, and a rejected pivot is never accepted later
+        monkeypatch.setattr(cross, "RCOND_GUARD", 1.0)
+        tree = build_tree(4, "balanced")
+        T = ht_full(random_htensor(tree, (4, 4, 4, 4), 3, np.random.default_rng(0)))
+        run = cross._CrossRun(dense_oracle(T), tree, 1e-8, np.random.default_rng(1),
+                              DEFAULT_RANK_CAP)
+        X, _ = run.run()
+        assert set(X.ranks.values()) == {1}
+        assert any(st.rejected for st in run.states.values())
+        for st in run.states.values():
+            accepted = {(int(r @ st.rstride), int(c @ st.cstride))
+                        for r, c in zip(st.rows, st.cols)}
+            assert not accepted & st.rejected
+
 
 class TestLiftSpatial:
     def test_identity(self, rng):

@@ -365,6 +365,34 @@ class TestRowChecks:
                     ht_coefficients(tensor, {**rows, mode: bad}, free_mode)
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("breakage, message", [
+        ("short mode_sizes", "mode_sizes length must equal the tree order"),
+        ("short leaf", r"leaf frame at node \d+ has wrong shape"),
+        ("rank-0 leaf", "ranks must be at least 1"),
+        ("2-way transfer", "transfer tensors must be 3-way"),
+        ("wide child rank", r"transfer tensor at node \d+ mismatches child ranks"),
+        ("root rank 2", "root rank must be 1"),
+    ])
+    def test_inconsistent_parts_rejected(self, rng, breakage, message):
+        tree = build_tree(4, "balanced")
+        X = random_htensor(tree, (3, 5, 4, 6), 3, rng)
+        sizes, frames, transfers = X.mode_sizes, X.leaf_frames, X.transfers
+        leaf, inner = tree.leaf_of_mode[0], tree.nodes[tree.root].children[0]
+        U, B, R = frames[leaf], transfers[inner], transfers[tree.root]
+        parts = {
+            "short mode_sizes": (sizes[:-1], frames, transfers),
+            "short leaf": (sizes, {**frames, leaf: U[:-1]}, transfers),
+            "rank-0 leaf": (sizes, {**frames, leaf: U[:, :0]}, transfers),
+            "2-way transfer": (sizes, frames, {**transfers, inner: B[..., 0]}),
+            "wide child rank": (sizes, frames, {
+                **transfers, inner: np.concatenate([B, B[:, :1]], axis=1)}),
+            "root rank 2": (sizes, frames, {**transfers, tree.root: np.concatenate([R, R])}),
+        }
+        with pytest.raises(ValueError, match=message):
+            HTensor(tree, *parts[breakage])
+
+
 class TestStorage:
     def test_degenerate_collocation_row(self):
         # 10 parametric modes of size 1 plus one spatial mode, all ranks 1
