@@ -24,12 +24,14 @@ level's sum while it is prolongated and the (M, sum r_l) coefficients, and no
 batch is split into chunks.  For M >= 2 the sum is bitwise numpy's
 `total += G_l @ C_l.T`; for one sample (evaluate, the expectation) it agrees
 with that to round-off, since numpy then takes a matrix-vector kernel.  The
-contraction's walk down to the spatial frame takes one BLAS GEMM per tree
-step, with other kernels for one sample than for a batch as well, so
-evaluate(y) and a one-point psi_batch agree with the point's batch row to
-round-off only: at most 1.6e-14 relative on the benchmark's highdim-logu
-surrogate (N=8, L=3), whose transfer tensors hold entries up to about 1e3
-against coefficients of order 1, and under 2e-15 on its affine ones.
+contraction runs on BLAS too, with other kernels for one sample than for a
+batch as well: its upward pass takes one GEMM and one batched matrix-vector
+product per tree node, its walk down to the spatial frame one GEMM per step.
+So evaluate(y) and a one-point psi_batch agree with the point's batch row to
+round-off only: at most 2.6e-14 of the row's largest entry on the
+benchmark's highdim-logu surrogate (N=8, L=3), whose transfer tensors hold
+entries up to about 1e3 against coefficients of order 1, and under 2e-15 on
+its affine ones.
 """
 
 from __future__ import annotations

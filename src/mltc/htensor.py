@@ -14,13 +14,14 @@ free mode is recovered by walking the root-to-leaf path down to its
 (M, r_free) coefficients.  ht_entries gathers leaf rows at multi-indices and
 keeps the root values (the entries the cross approximation validates); the
 surrogate passes per-sample interpolation or quadrature weights and keeps the
-coefficients of its spatial frame.  The walk takes one BLAS GEMM per step;
-the upward pass stays a per-sample einsum, because step 2 of the cross
-approximation reads its values and a BLAS form would move them in their
-last bits, and with them the builds' pivots and counts.  ht_full densifies
-a small tensor, the reference the tests compare against.  Modes are 0-based
-throughout; row order of any frame is lexicographic in the node's sorted mode
-list.
+coefficients of its spatial frame.  The upward pass takes one BLAS GEMM and
+one batched matrix-vector product per node, the walk one GEMM per step, for
+any M.  They sum in another order than a per-sample einsum, so the entries
+step 2 of the cross approximation validates move in their last bits; on the
+bundled configs and the benchmark's builds no pivot, count, rank or level
+tensor bit moves with them.  ht_full densifies a small tensor, the
+reference the tests compare against.  Modes are 0-based throughout; row
+order of any frame is lexicographic in the node's sorted mode list.
 """
 
 from __future__ import annotations
@@ -197,17 +198,21 @@ def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.
     an (M, r_leaf) array whose row m is sample m's weight vector already
     multiplied into that mode's leaf frame; every array must be 2-D, with the
     M of the first and its leaf's rank as column count, or ValueError names
-    the mode.  One upward pass reduces
-    every subtree off the root-to-free-leaf path to (M, r_t) rows with the
-    einsum "sab,ma,mb->ms"; without a free mode that pass is all there is,
-    and its (M, 1) root values (the root rank is 1) are the result, which
-    ht_entries and so the cross approximation's validation read.  With a
-    free mode the path is walked from the root down to the (M, r_free)
-    coefficients of the free leaf frame, one BLAS GEMM per step: with C the
-    (M, s) coefficients at a node and B its (s, a, b) transfer tensor, the
-    path child's axis last, T = C @ B.reshape(s, a*b) is viewed as (M, a, b)
-    and each sample's sibling row contracts its own slice of T.  At the root
-    s = 1 and C is 1, so that step is the GEMM of the sibling rows with B[0].
+    the mode.  One upward pass reduces every subtree off the
+    root-to-free-leaf path to (M, r_t) rows, one BLAS GEMM and one batched
+    matrix-vector product per node: with V1 and V2 the (M, a) and (M, b)
+    rows of its children and B its (s, a, b) transfer tensor, the GEMM
+    T = V2 @ B.reshape(s*a, b).T, which reads B in place, is viewed as
+    (M, s, a) and each sample's V1 row contracts its own slice of T.
+    Without a free mode that pass is all there is, and its (M, 1) root
+    values (the root rank is 1) are the result, which ht_entries and so the
+    cross approximation's validation read.  With a free mode the path is
+    walked from the root down to the (M, r_free) coefficients of the free
+    leaf frame, one BLAS GEMM per step: with C the (M, s) coefficients at a
+    node and B its (s, a, b) transfer tensor, the path child's axis last,
+    T = C @ B.reshape(s, a*b) is viewed as (M, a, b) and each sample's
+    sibling row contracts its own slice of T.  At the root s = 1 and C is 1,
+    so that step is the GEMM of the sibling rows with B[0].
     """
     tree = X.tree
     leaves = tree.leaf_of_mode
@@ -230,10 +235,11 @@ def ht_coefficients(X: HTensor, rows: dict, free_mode: int | None = None) -> np.
         node = tree.nodes[node_index]
         if not node.children:
             return rows[node.modes[0]]
-        V1 = up(node.children[0])
-        V2 = up(node.children[1])
+        V1, V2 = map(up, node.children)
         B = X.transfers[node_index]
-        return np.einsum("sab,ma,mb->ms", B, V1, V2)
+        s, a, b = B.shape
+        T = (V2 @ B.reshape(s * a, b).T).reshape(M, s, a)
+        return (T @ V1[:, :, None])[:, :, 0]
 
     if free_mode is None:
         return up(tree.root)

@@ -36,14 +36,15 @@ def suite_htensor():
         X = random_htensor(tree, sizes, 3, rng)
         T = htensor.ht_full(X)
         scale = max(abs(T).max(), 1e-300)
-        idx = np.array([[int(rng.integers(n)) for n in sizes]])
-        if abs(htensor.ht_entries(X, idx)[0] - T[tuple(idx[0])]) > 1e-12 * scale:
-            return f"entry mismatch at trial {trial}"
-        # the free-mode walk runs on BLAS: M fibers of the dense tensor through
-        # the free mode, for one sample and for a batch
+        # the upward pass and the free-mode walk run on BLAS, with other
+        # kernels for one sample than for a batch: M entries, and the M fibers
+        # of the dense tensor through the free mode at their other indices,
+        # for one sample and for a batch
         free = trial % d
         for M in (1, 5):
             idx = np.column_stack([rng.integers(0, n, M) for n in sizes])
+            if np.max(np.abs(htensor.ht_entries(X, idx) - T[tuple(idx.T)])) > 1e-12 * scale:
+                return f"entry mismatch at trial {trial}, M = {M}"
             rows = {m: X.leaf_frames[tree.leaf_of_mode[m]][idx[:, m]]
                     for m in range(d) if m != free}
             got = htensor.ht_coefficients(X, rows, free) @ \

@@ -104,6 +104,19 @@ class TestConfig:
     def test_every_bundled_config_loads(self, name):
         assert load_config(CONFIGS / f"{name}.ini").source.endswith(f"{name}.ini")
 
+    def test_readme_example_loads(self, tmp_path):
+        # README's "Configuration" block shows every key with its value;
+        # copied into a file as it stands, it must load to exactly those values
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("\n## Configuration\n"):]
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+        want = dict(kind="affine", decay="exponential", terms=5, mean=2.0, max_level=4,
+                    ref_level=5, eps0=0.25, samples=100, seed=2024, tree="balanced",
+                    rank_cap=150, eval_budget=10**7, out_dir="out")
+        cfg = load_config(path)
+        assert {key: getattr(cfg, key) for key in want} == want
+
     @pytest.mark.parametrize("key, value", [("eval_budjet", "200000000"),
                                             ("threads", "2")])
     def test_unknown_key_rejected(self, tmp_path, key, value):
