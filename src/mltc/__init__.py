@@ -10,7 +10,7 @@ from .cross import (ApproxResult, ColumnSource, EntryOracle, EvalBudget,
                     hier_cross, lift_spatial, reduce_oracle)
 from .driver import (ErrorMetrics, LevelPlan, MLSurrogate, accuracy_schedule,
                      degree_schedule, error_metrics, run_ml)
-from .errors import (BudgetError, ConfigError, EllipticityError, PivotError,
+from .errors import (BudgetError, ConfigError, EllipticityError, NumericalError,
                      SizeCapError)
 from .fem import (GridLevel, H1Frame, assemble, build_grid, delta_nodal,
                   delta_vector, functional_psi, h1_frame, prolongate,

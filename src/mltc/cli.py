@@ -1,29 +1,30 @@
 """Command-line front end: run experiments, sweep levels, self-verify.
 
-Exit codes: 0 success, 2 configuration error (an unknown config key or
-section, a setting out of range or not finite, a config file that cannot be
-decoded, or more terms than a build's step-2 index can hold, found before
-any build), 3 budget abort, 4 loss of ellipticity
-(the coefficient is nonpositive at a collocation point of a build or at a
-validation sample), 5 numerical failure (a singular pivot block, a
-non-finite fiber or oracle value, or a banded factorization that is not
-positive definite), 1 internal error.  `run` writes levels.csv, errors.csv
-and report.txt into the output directory.  On exit 3, 4 or 5 it writes
-levels.csv alone, with eps_level empty: the levels built so far, or every
-level of the finished build when only the reference build or the validation
-fails.  `sweep` writes one errors.csv row per level, and on exit 3, 4 or 5
-the rows of the levels finished so far.  A level whose cross approximation ends
-unconverged is kept (exit 0), and `run` names it, with its validation residual
-and target, on stderr and in report.txt; a level of the reference build is
-named the same way, as a "reference level", by `run` and, on stderr, by
-`sweep`, which names the levels of each swept build on stderr as well ("L=2
-level 1").  report.txt also lists, per level, the most PCG iterations a
-build fiber's solve and a validation solve took (see driver.run_ml and
-driver.error_metrics), the wall time of each level's step 1 (column basis)
-and step 2 (cross approximation), and the fibers each level's step 2 fetched,
-whose FE solves that step's time includes.  Config values are read literally
-(`%` is an ordinary character), `[DEFAULT]` is an unknown section like any
-other, and `verify` takes no options.
+Exit codes, one class each (errors.EXIT_CODES): 0 success, 2 configuration
+error (an unknown config key or section, a setting out of range or not finite,
+eps0 outside (0, 1), a config file that cannot be decoded, or more terms than
+a build's step-2 index can hold, found before any build), 3 budget abort, 4
+loss of ellipticity (make_model rejects the model, or the coefficient is
+nonpositive at a collocation point of a build or at a validation sample), 5
+numerical failure (a singular pivot block, a non-finite fiber or oracle value,
+or a banded factorization that is not positive definite), 1 internal error
+(any other exception, such as a ZeroDivisionError).  `run` writes levels.csv,
+errors.csv and report.txt into the output directory.  On exit 3, 4 or 5 it
+writes levels.csv alone, with eps_level empty: the levels built so far (none
+when make_model rejects the model), or every level of the finished build when
+only the reference build or the validation fails.  `sweep` writes one
+errors.csv row per level, and on exit 3, 4 or 5 the rows of the levels
+finished so far.  A level whose cross approximation ends unconverged is kept
+(exit 0), and `run` names it, with its validation residual and target, on
+stderr and in report.txt; a level of the reference build is named the same
+way, as a "reference level", by `run` and, on stderr, by `sweep`, which names
+the levels of each swept build on stderr as well ("L=2 level 1").  report.txt
+also lists, per level, the most PCG iterations a build fiber's solve and a
+validation solve took (see driver.run_ml and driver.error_metrics), the wall
+time of each level's step 1 (column basis) and step 2 (cross approximation),
+and the fibers each level's step 2 fetched, whose FE solves that step's time
+includes.  Config values are read literally (`%` is an ordinary character),
+`[DEFAULT]` is an unknown section, and `verify` takes no options.
 """
 
 from __future__ import annotations
@@ -44,19 +45,13 @@ from . import verify
 from .config import ExperimentConfig, load_config
 from .driver import (ErrorMetrics, LevelDiagnostics, MLSurrogate, degree_schedule,
                      error_metrics, run_ml)
-from .errors import ABORTS, BudgetError, ConfigError, EllipticityError
+from .errors import ABORTS, EXIT_CODES, ConfigError
 from .fem import MAX_LEVEL, build_grid
 from .fields import make_model
 
 LEVEL_COLUMNS = ["level", "degree", "n", "r_eff", "r_max", "step1", "step2",
                  "pde_solves", "time_s", "eps_level"]
 ERROR_COLUMNS = ["max_level", "eps_ml_u", "eps_e_u", "eps_ml_psi", "eps_e_psi"]
-
-# each failure's exit code and stderr prefix, first match wins: the rest of ABORTS
-# is a numerical failure, and any other exception an internal error
-EXIT_CODES = {ConfigError: (2, "config error"), BudgetError: (3, "budget abort"),
-              EllipticityError: (4, "ellipticity failure"),
-              ABORTS: (5, "numerical failure"), Exception: (1, "internal error")}
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -168,10 +163,10 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     _check_index_range(cfg, {cfg.max_level, cfg.ref_level or cfg.max_level})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
-    t0 = time.perf_counter()
     diags = []
     try:
+        model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
+        t0 = time.perf_counter()
         surrogate, diags = _build(cfg, model, cfg.max_level, cfg.seed)
         # a reference at max_level would be the surrogate itself, so there is none
         reference, ref_diags = None, []
@@ -239,9 +234,9 @@ def cmd_sweep(cfg: ExperimentConfig, levels: list[int]) -> int:
     _check_index_range(cfg, levels + [ref_level])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
     rows = []
     try:    # an abort reaches main, which maps it by EXIT_CODES
+        model = make_model(cfg.kind, cfg.decay, cfg.terms, cfg.mean)
         reference, ref_diags = _build(cfg, model, ref_level, cfg.seed + 1)
         for warning in _unconverged(ref_diags, "reference"):
             print(warning, file=sys.stderr)

@@ -47,8 +47,8 @@ class ExperimentConfig:
             raise ConfigError(f"max_level must be in [0, {MAX_LEVEL}]")
         if self.ref_level is not None and not self.max_level <= self.ref_level <= MAX_LEVEL:
             raise ConfigError(f"ref_level must be in [max_level, {MAX_LEVEL}]")
-        if not 0 < self.eps0 < math.inf:
-            raise ConfigError("eps0 must be positive and finite")
+        if not 0 < self.eps0 < 1:      # from 1 on, the zero tensor meets it
+            raise ConfigError("eps0 must be in (0, 1): it is a relative accuracy")
         if not math.isfinite(self.mean):
             raise ConfigError("mean must be finite")
         if self.samples < 1:

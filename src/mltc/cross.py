@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import BudgetError, PivotError
+from .errors import BudgetError, NumericalError
 from .htensor import DimensionTree, HTensor
 
 RCOND_GUARD = 1e-12     # pivot blocks with a smaller rcond estimate are rejected
@@ -125,7 +125,7 @@ class EntryOracle:
             if values.shape != (len(misses),):
                 raise ValueError("oracle returned the wrong number of values")
             if not np.all(np.isfinite(values)):
-                raise ArithmeticError("oracle returned a non-finite value")
+                raise NumericalError("oracle returned a non-finite value")
             cache.update(zip(misses, values.tolist()))
             self.max_abs = max(self.max_abs, float(np.abs(values).max()))
         return np.fromiter(map(cache.__getitem__, flat), dtype=float,
@@ -179,7 +179,7 @@ class ColumnSource:
         if col.shape != (self.n_spatial,):
             raise ValueError("fiber has wrong length")
         if not np.all(np.isfinite(col)):
-            raise ArithmeticError(f"non-finite fiber at {j}")
+            raise NumericalError(f"non-finite fiber at {j}")
         self._cache[j] = col
         return col
 
@@ -346,13 +346,13 @@ class PivotMatrix:
     def solve(self, B: np.ndarray) -> np.ndarray:
         """Solve M X = B for a matrix B of columns (see the module docstring)."""
         if self._singular:
-            raise PivotError("pivot matrix is numerically singular")
+            raise NumericalError("pivot matrix is numerically singular")
         Z = np.asarray(B, dtype=float)[self._pr, :]
         Z, info = dtrtrs(self._lu.T, Z, lower=0, trans=1, unitdiag=1)
         if info == 0:
             Z, info = dtrtrs(self._lu.T, Z, lower=1, trans=1)
         if info != 0:
-            raise PivotError(f"triangular solve failed (dtrtrs info {info})")
+            raise NumericalError(f"triangular solve failed (dtrtrs info {info})")
         X = np.empty_like(Z)
         X[self._pc, :] = Z
         return X

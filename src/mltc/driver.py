@@ -253,9 +253,9 @@ def run_ml(model: CoefficientModel, n_params: int, L: int, *, eps0: float = 0.25
     solve_at and the bitwise rules that pin these counts.  Returns
     the surrogate and per-level diagnostics; a budget abort (BudgetError), a
     coefficient that is nonpositive at a collocation point (EllipticityError)
-    or a numerical failure (a singular pivot, PivotError, or a non-finite
-    value or failed factorization, ArithmeticError) is raised with the
-    diagnostics gathered so far attached as `partial_diagnostics`.
+    or a numerical failure (a singular pivot, a non-finite value or a failed
+    factorization: NumericalError) is raised with the diagnostics gathered
+    so far attached as `partial_diagnostics`.
 
     `threads` accepts only 1 and does nothing else; the benchmark still
     passes it, and it goes away with the next change to the benchmark.

@@ -66,7 +66,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu, spsolve_triangular
 
-from .errors import EllipticityError
+from .errors import EllipticityError, NumericalError
 from .fields import CoefficientModel, basis_values, evaluate
 
 MAX_LEVEL = 12
@@ -326,20 +326,20 @@ def solve_at(y, level: int, model: CoefficientModel) -> np.ndarray:
 class _BandedCholesky:
     """LAPACK's banded Cholesky factor (dpbtrf) of an upper band from assemble_band.
 
-    Raises ArithmeticError when the band is not positive definite; solve()
+    Raises NumericalError when the band is not positive definite; solve()
     raises it when dpbtrs reports an error, so neither returns a vector then.
     """
 
     def __init__(self, band: np.ndarray):
         self.factor, info = dpbtrf(band, overwrite_ab=1)
         if info != 0:
-            raise ArithmeticError(f"banded Cholesky failed (dpbtrf info {info}): "
-                                  "the stiffness is not positive definite")
+            raise NumericalError(f"banded Cholesky failed (dpbtrf info {info}): "
+                                 "the stiffness is not positive definite")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x, info = dpbtrs(self.factor, b)
         if info != 0:
-            raise ArithmeticError(f"banded Cholesky solve failed (dpbtrs info {info})")
+            raise NumericalError(f"banded Cholesky solve failed (dpbtrs info {info})")
         return x
 
 
@@ -422,7 +422,7 @@ def solve_ladder(y, L: int, model: CoefficientModel, iterations: list | None = N
     solve_at solves it.  The module table gives each rung's speed and its
     distance from solve_at.  `iterations`, when given, receives one count per
     rung: the PCG iterations, 0 for a factorized rung and -1 for a rung that
-    fell back.  A band that is not positive definite raises ArithmeticError.
+    fell back.  A band that is not positive definite raises NumericalError.
     """
     if iterations is None:
         iterations = []
@@ -492,14 +492,14 @@ class H1Frame:
         A1 = assemble(grid, np.ones(4 * len(grid.elements)))
         lu = _factor_spd(A1)
         if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise ArithmeticError("symmetric factorization pivoted unexpectedly")
+            raise NumericalError("symmetric factorization pivoted unexpectedly")
         self.perm = np.argsort(lu.perm_c)
         U = lu.U
         del lu, A1          # free the factor before the CSR copies are made
         U = U.tocsr()
         d = U.diagonal()
         if np.any(d <= 0.0):
-            raise ArithmeticError("stiffness factorization is not positive definite")
+            raise NumericalError("stiffness factorization is not positive definite")
         self.R = (sp.diags(1.0 / np.sqrt(d)) @ U).tocsr()
 
     def to_h1(self, c: np.ndarray) -> np.ndarray:

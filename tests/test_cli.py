@@ -1,15 +1,22 @@
+import contextlib
 import csv
+import io
+import math
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mltc import cli, cross, driver, fem
 from mltc.cli import main
 from mltc.config import ExperimentConfig, load_config
-from mltc.errors import BudgetError, ConfigError, EllipticityError
-from mltc.fields import CoefficientModel
+from mltc.errors import BudgetError, ConfigError, EllipticityError, NumericalError
+from mltc.fields import DECAY_LAWS, KINDS, CoefficientModel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -18,15 +25,17 @@ MODEL_KEYS = ("kind", "decay", "terms", "mean")
 
 
 def write_config(path, **overrides):
+    """A config with `overrides` on small defaults; an override of None
+    leaves its key out."""
     base = {
         "kind": "affine", "decay": "exponential", "terms": "2", "mean": "2.0",
         "max_level": "1", "ref_level": "2", "eps0": "0.25", "samples": "5",
         "seed": "7", "tree": "balanced", "out_dir": "out",
     }
-    base.update({k: str(v) for k, v in overrides.items()})
+    base.update({k: None if v is None else str(v) for k, v in overrides.items()})
     text = "[model]\n" + "".join(f"{k} = {base[k]}\n" for k in MODEL_KEYS)
     text += "[run]\n" + "".join(
-        f"{k} = {v}\n" for k, v in base.items() if k not in MODEL_KEYS)
+        f"{k} = {v}\n" for k, v in base.items() if k not in MODEL_KEYS and v is not None)
     path.write_text(text)
     return path
 
@@ -79,7 +88,7 @@ def failing_banded_solve(at_level):
 
     def wrapped(y, level, model):
         if level == at_level:
-            raise ArithmeticError("banded factorization failed (dpbtrf info 3)")
+            raise NumericalError("banded factorization failed (dpbtrf info 3)")
         return banded_solve(y, level, model)
 
     return wrapped
@@ -163,7 +172,8 @@ class TestConfig:
                                             ("ref_level", "13"), ("rank_cap", "0"),
                                             ("eval_budget", "0"), ("eval_budget", "-1"),
                                             ("seed", "-1"), ("eps0", "nan"),
-                                            ("eps0", "inf"), ("mean", "nan"),
+                                            ("eps0", "inf"), ("eps0", "1"),
+                                            ("eps0", "10"), ("mean", "nan"),
                                             ("mean", "inf"), ("kind", "gaussian"),
                                             ("terms", "0"), ("samples", "0"),
                                             ("tree", "star")])
@@ -175,6 +185,20 @@ class TestConfig:
             load_config(path)
         assert main(["run", str(path)]) == 2
         assert builds == []
+
+    def test_relative_tolerance_of_one_or_more_builds_nothing(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # at eps0 = 10 every level of this build and of its reference may be
+        # the zero tensor, and the expectation errors then divide by zero
+        builds = []
+        monkeypatch.setattr(cli, "run_ml", lambda *a, **k: builds.append(a))
+        path = write_config(tmp_path / "c.ini", kind="log-uniform", decay="zero",
+                            terms=4, mean=1.0, max_level=0, ref_level=1, eps0=10.0,
+                            seed=270973, out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 2
+        assert "config error: eps0 must be in (0, 1)" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_file_rejected(self, tmp_path, monkeypatch, capsys):
         builds = []
@@ -373,6 +397,16 @@ class TestRun:
         assert [r["eps_level"] for r in levels] == ["", ""]
         assert not (tmp_path / "out" / "errors.csv").exists()
 
+    def test_python_error_is_internal(self, tmp_path, monkeypatch, capsys):
+        # a bug in the program is exit 1, not a numerical failure (exit 5)
+        def fails(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli, "error_metrics", fails)
+        path = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
+        assert main(["run", str(path)]) == 1
+        assert "internal error: float division by zero" in capsys.readouterr().err
+
     def test_step_times_are_reported(self, tmp_path, monkeypatch):
         # each level's step times reach report.txt, in level order
         approximate = driver.approximate_tensor
@@ -442,6 +476,10 @@ class TestRun:
         cfg = write_config(tmp_path / "c.ini", decay="slow-algebraic", terms=3,
                            mean=0.85, out_dir=tmp_path / "out")
         assert main(["run", str(cfg)]) == 4
+        # make_model rejects the model before any level is built
+        with open(tmp_path / "out" / "levels.csv") as fh:
+            assert fh.read().strip() == ",".join(cli.LEVEL_COLUMNS)
+        assert not (tmp_path / "out" / "errors.csv").exists()
 
     def test_seed_override_changes_nothing_structural(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
@@ -453,6 +491,75 @@ class TestRun:
         levels = read_rows(tmp_path / "levels.csv")
         assert len(levels) == 5
         assert [r["degree"] for r in levels] == ["2", "2", "1", "1", "0"]
+
+
+class TestRunContract:
+    """`mltc run` on tiny drawn configs: every exit code is a defined one, and
+    each leaves the outputs that README promises for it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), decay=st.sampled_from(DECAY_LAWS),
+           terms=st.integers(1, 4), mean=st.floats(-0.5, 3.0),
+           max_level=st.integers(0, 2), ref_offset=st.sampled_from([None, 0, 1]),
+           # eps0 log-uniform on [1e-3, 20], eval_budget on [10, 10^7]
+           eps0=st.integers(0, 100).map(lambda k: 1e-3 * 2e4 ** (k / 100)),
+           samples=st.integers(1, 4), tree=st.sampled_from(["balanced", "linear"]),
+           rank_cap=st.integers(1, 150),
+           eval_budget=st.integers(0, 100).map(lambda k: round(10 * 1e6 ** (k / 100))),
+           seed=st.integers(0, 2**32 - 1))
+    # eps0 >= 1: every level of both builds may be the zero tensor
+    @example(kind="log-uniform", decay="zero", terms=4, mean=1.0, max_level=0,
+             ref_offset=1, eps0=10.0, samples=4, tree="balanced", rank_cap=150,
+             eval_budget=10**7, seed=270973)
+    # a positive coefficient so small that the squares of its solutions overflow
+    @example(kind="affine", decay="zero", terms=1, mean=3.397370823230557e-259,
+             max_level=0, ref_offset=None, eps0=0.001, samples=1, tree="balanced",
+             rank_cap=1, eval_budget=26, seed=0)
+    def test_exit_code_and_outputs(self, kind, decay, terms, mean, max_level, ref_offset,
+                                   eps0, samples, tree, rank_cap, eval_budget, seed):
+        ref_level = None if ref_offset is None else max_level + ref_offset
+        run_ml = cli.run_ml
+        builds, finished = [], []       # the level of each build started; the
+                                        # diagnostics of each build finished
+
+        def recorded(*args, **kwargs):
+            builds.append(args[2])
+            surrogate, diags = run_ml(*args, **kwargs)
+            finished.append(diags)
+            return surrogate, diags
+
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            path = write_config(Path(tmp) / "c.ini", kind=kind, decay=decay, terms=terms,
+                                mean=mean, max_level=max_level, ref_level=ref_level,
+                                eps0=eps0, samples=samples, tree=tree, rank_cap=rank_cap,
+                                eval_budget=eval_budget, seed=seed, out_dir=out)
+            stderr = io.StringIO()
+            with mock.patch.object(cli, "run_ml", recorded), \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(["run", str(path)])
+            assert code in (0, 2, 3, 4, 5), stderr.getvalue()
+            if code == 2:
+                assert builds == [] and not out.exists()
+                return
+            levels = read_rows(out / "levels.csv")
+            if code != 0:
+                assert len(levels) <= max_level + 1
+                assert all(r["eps_level"] == "" for r in levels)
+                assert not (out / "errors.csv").exists()
+                return
+            assert [r["level"] for r in levels] == [str(i) for i in range(max_level + 1)]
+            assert math.isfinite(float(read_rows(out / "errors.csv")[0]["eps_ml_u"]))
+            # the main build, then the reference build unless ref_level is
+            # absent or max_level
+            assert builds == [max_level] + (
+                [ref_level] if ref_level not in (None, max_level) else [])
+            for name, diags in zip(["", "reference "], finished):
+                for d in diags:
+                    if not d.converged:
+                        assert f"warning: {name}level {d.level} did not converge" \
+                            in stderr.getvalue()
 
 
 class TestBlasBuild:
@@ -612,6 +719,13 @@ class TestSweep:
         monkeypatch.setattr(cli, "run_ml", fails)
         cfg = write_config(tmp_path / "c.ini", out_dir=tmp_path / "out")
         assert main(["sweep", str(cfg), "--levels", "1"]) == 3
+        with open(tmp_path / "out" / "errors.csv") as fh:
+            assert fh.read().strip() == ",".join(cli.ERROR_COLUMNS)
+
+    def test_nonelliptic_model_writes_header_only(self, tmp_path):
+        # make_model rejects the model before the reference build
+        cfg = write_config(tmp_path / "c.ini", terms=5, mean=0.5, out_dir=tmp_path / "out")
+        assert main(["sweep", str(cfg), "--levels", "1"]) == 4
         with open(tmp_path / "out" / "errors.csv") as fh:
             assert fh.read().strip() == ",".join(cli.ERROR_COLUMNS)
 

@@ -10,7 +10,7 @@ from mltc.cross import (DEFAULT_RANK_CAP, ColumnSource, EntryOracle, EvalBudget,
                         PivotMatrix, add_crosses, approximate_tensor,
                         cross_array, greedy_column_basis, hier_cross,
                         lift_spatial, reduce_oracle)
-from mltc.errors import BudgetError, PivotError
+from mltc.errors import BudgetError, NumericalError
 from mltc.htensor import build_tree, ht_entries, ht_full
 
 from conftest import random_htensor
@@ -330,7 +330,7 @@ class TestPivotMatrix:
     def test_singular_detected(self):
         M = np.array([[1.0, 2.0], [2.0, 4.0]])
         assert PivotMatrix(M).rcond_estimate < 1e-12
-        with pytest.raises(PivotError):
+        with pytest.raises(NumericalError):
             PivotMatrix(np.zeros((2, 2))).solve(np.ones((2, 1)))
 
     @settings(max_examples=200, deadline=None)

@@ -159,3 +159,10 @@ class TestEllipticity:
     def test_hopeless_model_rejected(self):
         with pytest.raises(EllipticityError):
             make_model("affine", "exponential", 10, mean=0.01)
+
+    def test_numerically_zero_coefficient_rejected(self):
+        # solutions scale as 1 / mean: at 1e-200 their squares overflow
+        with pytest.raises(EllipticityError):
+            make_model("affine", "zero", 1, mean=1e-200)
+        model = make_model("affine", "zero", 1, mean=1e-99)
+        assert not model.relaxed_ellipticity
